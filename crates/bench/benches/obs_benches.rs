@@ -1,19 +1,19 @@
 //! Benchmarks for the observability layer's cost model (DESIGN.md
-//! "Observability"): the trace-off path must be free, the traced path
-//! cheap, and profiling counters negligible.
+//! "Observability"): the trace-off path must be free and the traced path
+//! cheap. Per-run counters are always on, so every entry includes them.
 //!
 //! `trace_off/bare_simulation` intentionally reproduces
 //! `single_pass/collection_scale_0.25/bare_simulation` from the
 //! pre-instrumentation suite — comparing the two across BENCH records is
-//! how the <3% trace-off overhead budget is audited. The `traced` and
-//! `profiled` entries then price each layer when it is switched on.
+//! how the <3% trace-off overhead budget is audited. The `traced` entries
+//! then price tracing when it is switched on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairsched_bench::{scaled_trace, small_trace, BENCH_NODES};
 use fairsched_core::policy::PolicySpec;
 use fairsched_core::runner::{try_run_policy, try_run_policy_traced, RunOptions};
 use fairsched_metrics::explain::{explain_wait, worst_miss};
-use fairsched_obs::{DecisionTracer, ProfileScope};
+use fairsched_obs::DecisionTracer;
 use fairsched_sim::{simulate, NullObserver, SimOptions};
 use std::hint::black_box;
 
@@ -50,7 +50,7 @@ fn trace_overhead(c: &mut Criterion) {
 }
 
 /// Full policy runs: the production entry point with nothing attached,
-/// with the profiling scope, and with a decision trace recorded.
+/// and with a decision trace recorded.
 fn policy_run_layers(c: &mut Criterion) {
     let trace = scaled_trace(0.1);
     let policy = PolicySpec::baseline();
@@ -66,13 +66,6 @@ fn policy_run_layers(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("profiled", |b| {
-        let opts = RunOptions {
-            profile: true,
-            ..Default::default()
-        };
-        b.iter(|| try_run_policy(black_box(&trace), &policy, BENCH_NODES, &opts))
-    });
     g.bench_function("traced", |b| {
         b.iter(|| {
             let mut tracer = DecisionTracer::unbounded();
@@ -84,28 +77,6 @@ fn policy_run_layers(c: &mut Criterion) {
                 Some(&mut tracer),
             )
             .map(|r| (r, tracer.len()))
-        })
-    });
-    g.finish();
-}
-
-/// The counter fast path itself: one disabled-counter bump is a single
-/// relaxed load; an enabled one adds the increment.
-fn counter_fast_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("obs/counters");
-    g.bench_function("disabled_record_x1000", |b| {
-        b.iter(|| {
-            for _ in 0..1000 {
-                fairsched_obs::counters::record_backfill(black_box(1), black_box(1));
-            }
-        })
-    });
-    g.bench_function("enabled_record_x1000", |b| {
-        let _scope = ProfileScope::enter();
-        b.iter(|| {
-            for _ in 0..1000 {
-                fairsched_obs::counters::record_backfill(black_box(1), black_box(1));
-            }
         })
     });
     g.finish();
@@ -141,7 +112,6 @@ criterion_group!(
     benches,
     trace_overhead,
     policy_run_layers,
-    counter_fast_path,
     explain_and_export
 );
 criterion_main!(benches);

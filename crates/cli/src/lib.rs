@@ -816,20 +816,14 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
         } => {
             let (jobs, mut out) = load_trace(&trace, nodes)?;
             let spec = lookup(&policy)?;
-            let opts = RunOptions {
-                faults,
-                profile: true,
-                ..Default::default()
-            };
-            let run = try_run_policy(&jobs, &spec, nodes, &opts)?;
-            let profile = run.profile.expect("requested in RunOptions");
+            let run = try_run_policy(&jobs, &spec, nodes, &RunOptions::with_faults(faults))?;
             writeln!(
                 out,
                 "profile of {} over {} jobs on {nodes} nodes:",
                 run.outcome.policy,
                 jobs.len()
             )?;
-            writeln!(out, "{profile}")?;
+            writeln!(out, "{}", run.profile)?;
             Ok(out)
         }
         Command::Explain {

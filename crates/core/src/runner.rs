@@ -4,7 +4,9 @@
 //! the fault model and which optional reports to collect, and **one**
 //! simulation feeds every requested metric (the hybrid-FST and equality
 //! observers share the run through an `ObserverSet`; the per-user and
-//! resilience reports are pure folds over its results). The historical
+//! resilience reports are pure folds over its results). Every run also
+//! returns its own [`ProfileReport`]: the simulation's counters and the
+//! run's wall time. The historical
 //! [`run_policy`] / [`run_policy_faulted`] conveniences are thin panicking
 //! wrappers over it.
 
@@ -15,8 +17,7 @@ use fairsched_metrics::fairness::hybrid::HybridFstObserver;
 use fairsched_metrics::fairness::peruser::{per_user, UserFairness};
 use fairsched_metrics::fairness::resilience::ResilienceReport;
 use fairsched_metrics::user;
-use fairsched_obs::counters::{CounterSnapshot, ProfileReport, ProfileScope};
-use fairsched_obs::TraceSink;
+use fairsched_obs::{ProfileReport, SimCounters, TraceSink};
 use fairsched_sim::{
     simulate, CancelToken, FaultConfig, ObserverSet, OriginalOutcome, Schedule, SimError,
     SimOptions,
@@ -85,9 +86,9 @@ impl PolicyOutcome {
 /// What [`try_run_policy`] should collect from its single simulation, and
 /// under which fault model.
 ///
-/// The hybrid fairness report and schedule are always collected; each flag
-/// adds one more report to the returned [`PolicyRun`] without adding a
-/// second simulation.
+/// The hybrid fairness report, schedule and profile are always collected;
+/// each flag adds one more report to the returned [`PolicyRun`] without
+/// adding a second simulation.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault model for the run (default: all fault sources off).
@@ -98,11 +99,6 @@ pub struct RunOptions {
     pub equality: bool,
     /// Collect the interrupted-vs-clean resilience split.
     pub resilience: bool,
-    /// Collect a [`ProfileReport`] of where the run's time went. Counters
-    /// are process-wide, so a profiled run in a parallel sweep also
-    /// absorbs the other workers' activity — profile one run at a time
-    /// when per-policy numbers matter.
-    pub profile: bool,
     /// Cooperative cancellation: when the token fires (e.g. a sweep
     /// watchdog), the simulation stops at its next event batch with
     /// [`SimError::TimedOut`]. `None` (the default) runs unguarded.
@@ -126,15 +122,14 @@ impl RunOptions {
             per_user: true,
             equality: true,
             resilience: true,
-            profile: true,
             cancel: None,
         }
     }
 }
 
 /// Everything one [`try_run_policy`] simulation produced: the always-on
-/// [`PolicyOutcome`] plus whichever optional reports the [`RunOptions`]
-/// requested (absent flags stay `None`).
+/// [`PolicyOutcome`] and [`ProfileReport`], plus whichever optional
+/// reports the [`RunOptions`] requested (absent flags stay `None`).
 #[derive(Debug, Clone)]
 pub struct PolicyRun {
     /// Schedule plus hybrid fairness report (always collected).
@@ -145,8 +140,9 @@ pub struct PolicyRun {
     pub equality: Option<EqualityReport>,
     /// Interrupted-vs-clean split (`RunOptions::resilience`).
     pub resilience: Option<ResilienceReport>,
-    /// Where the run's time went (`RunOptions::profile`).
-    pub profile: Option<ProfileReport>,
+    /// Where the run's time went: this simulation's counters alone, plus
+    /// the wall time of the simulation and its fairness scoring.
+    pub profile: ProfileReport,
 }
 
 /// Evaluates one policy on a trace with **one** simulation feeding every
@@ -176,11 +172,8 @@ pub fn try_run_policy_traced(
 ) -> Result<PolicyRun, SimError> {
     let mut cfg = policy.sim_config(nodes);
     cfg.faults = opts.faults.clone();
-    // The scope must outlive the fairness scoring below: the hybrid-FST
-    // prefix simulations are where the warm-start counters move.
-    let _scope = opts.profile.then(ProfileScope::enter);
-    let baseline = opts.profile.then(CounterSnapshot::capture);
     let started = std::time::Instant::now();
+    let mut counters = SimCounters::default();
     let mut hybrid = HybridFstObserver::new();
     let mut equality = EqualityObserver::new();
     let schedule = {
@@ -189,10 +182,7 @@ pub fn try_run_policy_traced(
         if opts.equality {
             observers.push(&mut equality);
         }
-        // The runner keeps its own ProfileScope (above) rather than using
-        // SimOptions::profile: the scope must also cover the fairness
-        // scoring after the run.
-        let mut sim_opts = SimOptions::new();
+        let mut sim_opts = SimOptions::new().counters(&mut counters);
         if let Some(sink) = sink {
             sim_opts = sim_opts.trace(sink);
         }
@@ -202,10 +192,10 @@ pub fn try_run_policy_traced(
         simulate(trace, &cfg, &mut observers, sim_opts)?
     };
     let fairness = hybrid.into_report();
-    let profile = baseline.map(|before| ProfileReport {
-        counters: CounterSnapshot::capture().since(&before),
+    let profile = ProfileReport {
+        counters,
         wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-    });
+    };
     let per_user = opts.per_user.then(|| per_user(&schedule, &fairness));
     let resilience = opts
         .resilience
@@ -385,21 +375,72 @@ mod tests {
     }
 
     #[test]
-    fn profiled_runs_report_where_time_went() {
+    fn every_run_reports_where_time_went() {
         let trace = small_trace();
-        let opts = RunOptions {
-            profile: true,
-            ..RunOptions::default()
-        };
-        let run = try_run_policy(&trace, &PolicySpec::baseline(), 1024, &opts).unwrap();
-        let profile = run.profile.expect("requested in RunOptions");
+        let run = try_run_policy(
+            &trace,
+            &PolicySpec::baseline(),
+            1024,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        let profile = run.profile;
         assert!(profile.wall_ns > 0);
         assert!(profile.counters.sched_passes > 0);
+        assert_eq!(
+            profile.counters.pass_ns.count(),
+            profile.counters.sched_passes
+        );
         assert!(profile.counters.backfill_attempts >= profile.counters.backfill_successes);
-        // The hybrid FST scores against the list scheduler, not prefix
-        // simulation, so warm-start counters stay parked here; they move
-        // under the scheduler-dependent Sabin metric instead.
-        assert_eq!(profile.counters.warm_start_misses, 0);
+    }
+
+    /// The deterministic part of a run's counters (pass times vary).
+    fn work(c: &SimCounters) -> [u64; 4] {
+        [
+            c.sched_passes,
+            c.earliest_start_calls,
+            c.backfill_attempts,
+            c.backfill_successes,
+        ]
+    }
+
+    #[test]
+    fn conservative_backfill_walks_are_counted() {
+        let trace = small_trace();
+        for id in ["cons.nomax", "consdyn.nomax"] {
+            let p = PolicySpec::by_id(id).unwrap();
+            let c = try_run_policy(&trace, &p, 1024, &RunOptions::default())
+                .unwrap()
+                .profile
+                .counters;
+            assert!(c.earliest_start_calls > 0, "{id}: {c:?}");
+            assert!(c.backfill_attempts > 0, "{id}: {c:?}");
+            assert!(c.backfill_successes > 0, "{id}: {c:?}");
+            assert!(c.backfill_attempts >= c.backfill_successes, "{id}: {c:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_count_only_their_own_work() {
+        let trace = small_trace();
+        let cons = PolicySpec::by_id("cons.nomax").unwrap();
+        let easy = PolicySpec::by_id("easy.nomax").unwrap();
+        let alone = |p: &PolicySpec| {
+            work(
+                &try_run_policy(&trace, p, 1024, &RunOptions::default())
+                    .unwrap()
+                    .profile
+                    .counters,
+            )
+        };
+        let (cons_alone, easy_alone) = (alone(&cons), alone(&easy));
+        let (cons_together, easy_together) = std::thread::scope(|s| {
+            let a = s.spawn(|| alone(&cons));
+            let b = s.spawn(|| alone(&easy));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(cons_together, cons_alone);
+        assert_eq!(easy_together, easy_alone);
     }
 
     #[test]

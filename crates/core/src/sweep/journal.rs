@@ -203,12 +203,11 @@ impl JournalWriter {
     }
 
     fn write_body(&mut self, body: &str) -> std::io::Result<()> {
-        let bytes = self.out.write_sealed(body)?;
+        self.out.write_sealed(body)?;
         // Hand the row to the kernel right away: a SIGKILLed process then
         // loses nothing — only the fsync (power-cut durability) is
         // batched, because it is the expensive half.
         self.out.flush()?;
-        fairsched_obs::counters::record_journal_bytes(bytes);
         self.pending += 1;
         if self.pending >= self.batch {
             self.sync()?;

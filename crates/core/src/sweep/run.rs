@@ -26,7 +26,6 @@ use crate::runner::{try_run_policy, PolicyRun, RunOptions};
 use crate::sweep::grid::{Cell, SweepPlan};
 use crate::sweep::journal::{self, CellRow, CellStatus, JournalWriter};
 use crate::sweep::panic_message;
-use fairsched_obs::counters;
 use fairsched_sim::{CancelToken, FaultConfig, SimError};
 use fairsched_workload::job::Job;
 use fairsched_workload::CplantModel;
@@ -235,7 +234,6 @@ where
         }
         match result {
             Ok(Ok(run)) => {
-                counters::record_sweep_cell_ok();
                 return CellRow {
                     attempts,
                     metrics: Some(run.outcome.metrics()),
@@ -244,11 +242,9 @@ where
             }
             Ok(Err(e @ SimError::TimedOut { .. })) => {
                 if attempts <= max_retries {
-                    counters::record_sweep_retry();
                     std::thread::sleep(backoff(attempts));
                     continue;
                 }
-                counters::record_sweep_timed_out();
                 return CellRow {
                     status: CellStatus::TimedOut,
                     attempts,
@@ -266,7 +262,6 @@ where
                 };
             }
             Err(payload) => {
-                counters::record_sweep_poisoned();
                 return CellRow {
                     status: CellStatus::Poisoned,
                     attempts,

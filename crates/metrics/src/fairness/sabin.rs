@@ -206,7 +206,6 @@ fn warm_forked_fsts(
         for job in ordered {
             master.admit(job).expect("jobs admitted in sorted order");
             if targets.contains(&job.id) {
-                fairsched_obs::counters::record_warm_start(true);
                 // A send only fails if every worker is gone (panicked); the
                 // join below re-raises whatever killed them.
                 let _ = tx.send((master.fork(), job.id, job.submit));
@@ -260,7 +259,6 @@ fn stripe_fsts(
             if !targets.contains(&job.id) {
                 continue;
             }
-            fairsched_obs::counters::record_warm_start(false);
             let prefix: Vec<Job> = ordered[..=i].iter().map(|j| (*j).clone()).collect();
             let schedule = simulate(&prefix, cfg, &mut NullObserver, SimOptions::new())
                 .unwrap_or_else(|e| panic!("prefix simulation failed: {e}"));

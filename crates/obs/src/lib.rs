@@ -1,8 +1,7 @@
 //! # fairsched-obs
 //!
-//! Observability for the fairsched stack: decision traces, runtime
-//! counters, and a small logging facade. Everything here is designed to be
-//! **zero-cost when off**:
+//! Observability for the fairsched stack: decision traces, per-run
+//! counters, a metrics registry, and a small logging facade.
 //!
 //! * Tracing rides an `Option<&SharedSink>` threaded through the simulator
 //!   and engines — untraced runs test one `Option` per emission site and
@@ -10,9 +9,8 @@
 //!   zero-*interference* half of the contract (a traced run produces a
 //!   byte-identical `Schedule`) is pinned by proptests at the workspace
 //!   root.
-//! * Profiling counters hide behind one relaxed atomic load
-//!   ([`counters::enabled`]); until a [`counters::ProfileScope`] is alive,
-//!   instrumented call sites skip both the increment and the clock read.
+//! * [`SimCounters`] is a plain struct each simulation owns and bumps as
+//!   it works, so a profile always belongs to the run that produced it.
 //!
 //! The crate deliberately depends only on `fairsched-workload` (for
 //! [`JobId`](fairsched_workload::job::JobId) and
@@ -29,6 +27,6 @@ pub mod log;
 pub mod registry;
 pub mod trace;
 
-pub use counters::{CounterSnapshot, Histogram, ProfileReport, ProfileScope};
+pub use counters::{Histogram, ProfileReport, SimCounters};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use trace::{DecisionTracer, SharedSink, StartCause, TraceHandle, TraceRecord, TraceSink};

@@ -35,8 +35,7 @@ use fairsched_core::policy::PolicySpec;
 use fairsched_metrics::explain::{explain_wait, WaitBreakdown};
 use fairsched_metrics::fairness::peruser::UserFairness;
 use fairsched_metrics::fairness::stream::{FairnessSnapshot, StreamingFairness};
-use fairsched_obs::counters::{CounterSnapshot, ProfileReport, ProfileScope};
-use fairsched_obs::TraceRecord;
+use fairsched_obs::{ProfileReport, SimCounters, TraceRecord};
 use fairsched_sim::{
     Effect, JobRecord, Observer, Schedule, SimConfig, SimError, SimEvent, SteppedSim,
 };
@@ -135,6 +134,8 @@ struct Inner {
     /// The highest clock horizon already journaled (grants are only
     /// journaled when they move this forward).
     journaled_granted: Time,
+    /// The core's counters as of seal, when the core is gone.
+    sealed_counters: SimCounters,
 }
 
 /// A submission waiting in the batching queue, with the channel its
@@ -156,10 +157,7 @@ pub struct Session {
     /// batch rather than once per request.
     pending: Mutex<VecDeque<PendingSubmit>>,
     metrics: Arc<ServiceMetrics>,
-    // Live profiling: counters record for the whole session lifetime.
-    baseline: CounterSnapshot,
     started_at: Instant,
-    _profile: ProfileScope,
 }
 
 impl Session {
@@ -182,7 +180,6 @@ impl Session {
         if cfg.id_floor > 0 {
             core.reserve_ids(cfg.id_floor);
         }
-        let profile = ProfileScope::enter();
         Ok(Session {
             inner: Mutex::new(Inner {
                 core: Some(core),
@@ -198,14 +195,13 @@ impl Session {
                 stream: StreamingFairness::new(sim_cfg.nodes),
                 journal: None,
                 journaled_granted: 0,
+                sealed_counters: SimCounters::default(),
             }),
             cfg,
             sim_cfg,
             pending: Mutex::new(VecDeque::new()),
             metrics,
-            baseline: CounterSnapshot::capture(),
             started_at: Instant::now(),
-            _profile: profile,
         })
     }
 
@@ -637,10 +633,16 @@ impl Session {
         Ok(explain_wait(&inner.trace, &view, id))
     }
 
-    /// Where the session's scheduling time has gone so far.
+    /// Where the session's scheduling time has gone so far: this
+    /// session's core counters (frozen at seal) and the session's age.
     pub fn profile(&self) -> ProfileReport {
+        let inner = self.lock();
+        let counters = match &inner.core {
+            Some(core) => core.counters().clone(),
+            None => inner.sealed_counters.clone(),
+        };
         ProfileReport {
-            counters: CounterSnapshot::capture().since(&self.baseline),
+            counters,
             wall_ns: self.started_at.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         }
     }
@@ -677,6 +679,7 @@ impl Session {
             inner.steps += 1;
         }
         inner.clock.jump_to(core.now());
+        inner.sealed_counters = core.counters().clone();
         let schedule = core.finish()?;
         // Fire the whole-run hook the batch API would: the stream
         // observer's verdict is now final and equal to the batch one.
@@ -983,6 +986,61 @@ mod tests {
         assert_eq!(breakdown.submit, 10);
         assert_eq!(breakdown.start, 300);
         session.seal().unwrap();
+    }
+
+    /// The deterministic part of a profile (pass times vary).
+    fn work(p: &ProfileReport) -> [u64; 4] {
+        let c = &p.counters;
+        [
+            c.sched_passes,
+            c.earliest_start_calls,
+            c.backfill_attempts,
+            c.backfill_successes,
+        ]
+    }
+
+    fn drive(session: &Session) {
+        for r in [
+            req(1, 1, 0, 32, 100),
+            req(2, 2, 5, 16, 50),
+            req(3, 3, 6, 8, 30),
+            req(4, 1, 10, 24, 60),
+            req(5, 2, 12, 4, 10),
+        ] {
+            session.submit(&r).unwrap();
+        }
+        session.advance_to(50).unwrap();
+        session.advance_to(500).unwrap();
+    }
+
+    #[test]
+    fn profiles_count_only_their_own_sessions_work() {
+        let lone = manual_session("cons.nomax");
+        drive(&lone);
+        let expected = work(&lone.profile());
+        assert!(expected.iter().all(|&n| n > 0), "{expected:?}");
+
+        let (a, b) = (manual_session("cons.nomax"), manual_session("cons.nomax"));
+        std::thread::scope(|s| {
+            // A batch run in the same process, concurrent with A's drive.
+            s.spawn(|| {
+                let trace: Vec<Job> = (1..=200)
+                    .map(|i| Job::new(i, i % 7, 1, i as Time * 3, 1 + i % 32, 40, 60))
+                    .collect();
+                let spec = PolicySpec::parse("cons.nomax").unwrap();
+                let opts = fairsched_core::runner::RunOptions::default();
+                fairsched_core::runner::try_run_policy(&trace, &spec, 32, &opts).unwrap();
+            });
+            drive(&a);
+        });
+        assert_eq!(work(&b.profile()), [0; 4]);
+        assert_eq!(work(&a.profile()), expected);
+
+        // A sealed session still answers with its core's final counters.
+        lone.seal().unwrap();
+        a.seal().unwrap();
+        assert_eq!(work(&a.profile()), work(&lone.profile()));
+        assert_eq!(work(&b.profile()), [0; 4]);
     }
 
     #[test]

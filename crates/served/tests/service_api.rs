@@ -216,3 +216,31 @@ fn live_explain_and_profile_respond_over_http() {
     client.shutdown().unwrap();
     daemon.shutdown();
 }
+
+#[test]
+fn named_session_profiles_count_only_that_session() {
+    let mut daemon = manual_daemon("easy.nomax", 16);
+    let client = Client::new(daemon.addr());
+    let mut spec = fairsched_served::api::SessionSpec::named("cons");
+    spec.policy = Some("cons.nomax".into());
+    client.create_session(&spec).unwrap();
+    let cons = client.for_session("cons");
+
+    cons.submit(&req(1, 1, 0, 16, 200)).unwrap();
+    cons.submit(&req(2, 2, 10, 8, 50)).unwrap();
+    cons.submit(&req(3, 3, 20, 4, 30)).unwrap();
+    cons.advance(400).unwrap();
+
+    let passes =
+        |p: &fairsched_served::json::Json, key: &str| p.get(key).and_then(|v| v.as_u64()).unwrap();
+    let named = cons.profile().unwrap();
+    assert!(passes(&named, "sched_passes") > 0, "{named:?}");
+    assert!(passes(&named, "backfill_attempts") > 0, "{named:?}");
+    // The default session did no work, so its profile stays at zero.
+    let default = client.profile().unwrap();
+    assert_eq!(passes(&default, "sched_passes"), 0, "{default:?}");
+    assert_eq!(passes(&default, "backfill_attempts"), 0, "{default:?}");
+
+    client.shutdown().unwrap();
+    daemon.shutdown();
+}

@@ -5,10 +5,10 @@
 //! any promoted guard, opens the pass on the
 //! [`ReservationLedger`](super::ReservationLedger), walks the queue querying
 //! admissions, and emits the decision trace (start causes, bypass lists)
-//! and backfill counters. Rules carry no state of their own.
+//! and its [`BackfillWalk`] counts. Rules carry no state of their own.
 
 use super::{Admission, EngineCtx, QueueOrderStrategy, ReservationLedger};
-use fairsched_obs::{counters, StartCause, TraceHandle, TraceRecord};
+use fairsched_obs::{StartCause, TraceHandle, TraceRecord};
 use fairsched_workload::job::JobId;
 
 fn emit_start(trace: Option<&dyn TraceHandle>, ctx: &EngineCtx<'_>, i: usize, cause: StartCause) {
@@ -23,14 +23,26 @@ fn emit_start(trace: Option<&dyn TraceHandle>, ctx: &EngineCtx<'_>, i: usize, ca
     }
 }
 
+/// What backfill walks examined and started, summed until the engine
+/// hands the tally to the run's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BackfillWalk {
+    /// Queued candidates the walk asked the ledger about.
+    pub examined: u64,
+    /// Candidates the walk started.
+    pub started: u64,
+}
+
 /// One scheduling pass: which queued jobs start right now.
 pub trait BackfillRule: Send {
-    /// Walks the queue and returns the ids to start, in start order.
+    /// Walks the queue and returns the ids to start, in start order,
+    /// adding the candidates it examined and started to `tally`.
     fn select(
         &self,
         ctx: &EngineCtx<'_>,
         order: &dyn QueueOrderStrategy,
         ledger: &mut dyn ReservationLedger,
+        tally: &mut BackfillWalk,
     ) -> Vec<JobId>;
 
     /// A boxed replica (rules are stateless; this is plain cloning).
@@ -49,6 +61,7 @@ impl BackfillRule for NoBackfillRule {
         ctx: &EngineCtx<'_>,
         order: &dyn QueueOrderStrategy,
         ledger: &mut dyn ReservationLedger,
+        tally: &mut BackfillWalk,
     ) -> Vec<JobId> {
         let order = order.walk_order(ctx);
         ledger.begin_pass(ctx, None);
@@ -57,11 +70,13 @@ impl BackfillRule for NoBackfillRule {
         // Start strictly from the head: stop at the first job that does not
         // fit (everything behind it must wait regardless of fit).
         for (rank, &i) in order.iter().enumerate() {
+            tally.examined += 1;
             match ledger.admit(ctx, rank, i, free) {
                 Admission::Start => {
                     let job = &ctx.queue[i];
                     starts.push(job.id);
                     free -= job.nodes;
+                    tally.started += 1;
                     ledger.note_start(ctx, i);
                     emit_start(ctx.trace, ctx, i, StartCause::Fcfs);
                 }
@@ -89,6 +104,7 @@ impl BackfillRule for GreedyRule {
         ctx: &EngineCtx<'_>,
         order: &dyn QueueOrderStrategy,
         ledger: &mut dyn ReservationLedger,
+        tally: &mut BackfillWalk,
     ) -> Vec<JobId> {
         let walk = order.walk_order(ctx);
         let promoted = order.promoted(ctx, &walk);
@@ -117,8 +133,6 @@ impl BackfillRule for GreedyRule {
         // who it jumped.
         let mut waiting: Vec<JobId> = Vec::new();
         let mut waiting_ahead = 0u64;
-        let mut examined = 0u64;
-        let mut started = 0u64;
         for (rank, &i) in walk.iter().enumerate() {
             let job = &ctx.queue[i];
             if Some(job.id) == guard_started {
@@ -134,12 +148,12 @@ impl BackfillRule for GreedyRule {
                 waiting_ahead += 1;
                 continue;
             }
-            examined += 1;
+            tally.examined += 1;
             match ledger.admit(ctx, rank, i, free) {
                 Admission::Start => {
                     starts.push(job.id);
                     free -= job.nodes;
-                    started += 1;
+                    tally.started += 1;
                     ledger.note_start(ctx, i);
                     if ctx.trace.is_some() {
                         let cause = if waiting_ahead == 0 {
@@ -161,7 +175,6 @@ impl BackfillRule for GreedyRule {
                 Admission::Infeasible => {}
             }
         }
-        counters::record_backfill(examined, started);
         starts
     }
 
@@ -181,6 +194,7 @@ impl BackfillRule for ReservationDueRule {
         ctx: &EngineCtx<'_>,
         order: &dyn QueueOrderStrategy,
         ledger: &mut dyn ReservationLedger,
+        tally: &mut BackfillWalk,
     ) -> Vec<JobId> {
         let walk = order.walk_order(ctx);
         ledger.begin_pass(ctx, None);
@@ -193,10 +207,12 @@ impl BackfillRule for ReservationDueRule {
         let mut waiting_ahead = 0u64;
         for (rank, &i) in walk.iter().enumerate() {
             let job = &ctx.queue[i];
+            tally.examined += 1;
             match ledger.admit(ctx, rank, i, free) {
                 Admission::Start => {
                     starts.push(job.id);
                     free -= job.nodes;
+                    tally.started += 1;
                     ledger.note_start(ctx, i);
                     if ctx.trace.is_some() {
                         // A conservative start is its reservation coming
@@ -242,6 +258,7 @@ impl BackfillRule for ProfileGreedyRule {
         ctx: &EngineCtx<'_>,
         order: &dyn QueueOrderStrategy,
         ledger: &mut dyn ReservationLedger,
+        tally: &mut BackfillWalk,
     ) -> Vec<JobId> {
         let walk = order.walk_order(ctx);
         ledger.begin_pass(ctx, None);
@@ -249,16 +266,14 @@ impl BackfillRule for ProfileGreedyRule {
         let mut starts = Vec::new();
         let mut waiting: Vec<JobId> = Vec::new();
         let mut waiting_ahead = 0u64;
-        let mut examined = 0u64;
-        let mut started = 0u64;
         for (rank, &i) in walk.iter().enumerate() {
             let job = &ctx.queue[i];
-            examined += 1;
+            tally.examined += 1;
             match ledger.admit(ctx, rank, i, free) {
                 Admission::Start => {
                     starts.push(job.id);
                     free -= job.nodes;
-                    started += 1;
+                    tally.started += 1;
                     ledger.note_start(ctx, i);
                     if ctx.trace.is_some() {
                         let cause = if waiting_ahead == 0 {
@@ -280,7 +295,6 @@ impl BackfillRule for ProfileGreedyRule {
                 Admission::Infeasible => {}
             }
         }
-        counters::record_backfill(examined, started);
         starts
     }
 

@@ -123,6 +123,12 @@ pub trait ReservationLedger: Send {
         None
     }
 
+    /// The `earliest_start` probes made since the previous call, which
+    /// resets the tally.
+    fn take_probes(&mut self) -> u64 {
+        0
+    }
+
     /// A boxed replica, per-job state included.
     fn clone_box(&self) -> Box<dyn ReservationLedger>;
 }
@@ -211,6 +217,8 @@ pub struct ConservativeLedger {
     /// Incremental timeline: Σ slot rectangles. Maintained only for the
     /// static ledger (the dynamic rebuild never reads it).
     planned: Profile,
+    /// `earliest_start` probes not yet taken by the engine.
+    probes: u64,
 }
 
 /// An owned copy of a [`ConservativeLedger`]'s complete reservation state,
@@ -227,6 +235,7 @@ impl ConservativeLedger {
             slots: HashMap::new(),
             by_start: BTreeSet::new(),
             planned: Profile::new(0),
+            probes: 0,
         }
     }
 
@@ -365,6 +374,7 @@ impl ConservativeLedger {
         let mut profile = self.running_profile(ctx);
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
+            self.probes += 1;
             let start = profile
                 .earliest_start(ctx.now, job.nodes, job.estimate)
                 .unwrap_or(FAR_FUTURE);
@@ -417,6 +427,7 @@ impl ConservativeLedger {
             let job = &ctx.queue[i];
             let old = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
             profile.remove(old, job.estimate, job.nodes);
+            self.probes += 1;
             let chosen = match profile.earliest_start(ctx.now, job.nodes, job.estimate) {
                 Some(fresh) => fresh.min(old),
                 None => old,
@@ -476,6 +487,7 @@ impl ReservationLedger for ConservativeLedger {
             }
             p
         };
+        self.probes += 1;
         let start = profile
             .earliest_start(ctx.now, job.nodes, job.estimate)
             .unwrap_or(FAR_FUTURE);
@@ -523,6 +535,10 @@ impl ReservationLedger for ConservativeLedger {
         self.slot_start(id)
     }
 
+    fn take_probes(&mut self) -> u64 {
+        std::mem::take(&mut self.probes)
+    }
+
     fn clone_box(&self) -> Box<dyn ReservationLedger> {
         Box::new(self.clone())
     }
@@ -539,6 +555,8 @@ pub struct DepthLedger {
     /// Per-pass scratch profile (running work, outages, and the holds of
     /// reserved-but-blocked jobs seen so far this walk).
     profile: Profile,
+    /// `earliest_start` probes not yet taken by the engine.
+    probes: u64,
 }
 
 impl DepthLedger {
@@ -547,6 +565,7 @@ impl DepthLedger {
         DepthLedger {
             depth,
             profile: Profile::new(0),
+            probes: 0,
         }
     }
 
@@ -570,6 +589,7 @@ impl ReservationLedger for DepthLedger {
 
     fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> Admission {
         let job = &ctx.queue[i];
+        self.probes += 1;
         let Some(start) = self
             .profile
             .earliest_start(ctx.now, job.nodes, job.estimate)
@@ -593,6 +613,10 @@ impl ReservationLedger for DepthLedger {
     fn note_start(&mut self, ctx: &EngineCtx<'_>, i: usize) {
         let job = &ctx.queue[i];
         self.profile.add(ctx.now, job.estimate, job.nodes);
+    }
+
+    fn take_probes(&mut self) -> u64 {
+        std::mem::take(&mut self.probes)
     }
 
     fn clone_box(&self) -> Box<dyn ReservationLedger> {

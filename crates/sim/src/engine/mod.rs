@@ -26,7 +26,7 @@ use crate::config::{EngineKind, QueueOrder, StarvationConfig};
 use crate::fairshare::FairshareTracker;
 use crate::faults::Outage;
 use crate::state::{priority_order, QueuedJob, RunningJob};
-use fairsched_obs::TraceHandle;
+use fairsched_obs::{SimCounters, TraceHandle};
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 
@@ -35,7 +35,7 @@ pub mod ledger;
 pub mod order;
 
 pub use backfill::{
-    BackfillRule, GreedyRule, NoBackfillRule, ProfileGreedyRule, ReservationDueRule,
+    BackfillRule, BackfillWalk, GreedyRule, NoBackfillRule, ProfileGreedyRule, ReservationDueRule,
 };
 pub use ledger::{
     Admission, ConservativeLedger, ConservativeSnapshot, DepthLedger, HeadOfQueue, NoReservations,
@@ -106,6 +106,10 @@ pub trait Engine: Send {
     /// Chooses jobs to start *now*. Every returned job must currently fit
     /// (the simulator asserts this) and be returned at most once.
     fn select_starts(&mut self, ctx: &EngineCtx<'_>) -> Vec<JobId>;
+    /// Adds the work counted since the previous call (`earliest_start`
+    /// probes, backfill candidates examined and started) to `counters`
+    /// and clears the engine's own tally.
+    fn drain_counters(&mut self, _counters: &mut SimCounters) {}
     /// An exact replica of this engine, internal state included. Warm-start
     /// prefix simulation forks the master engine per query so stateful
     /// ledgers (conservative reservations) continue from the master's
@@ -201,6 +205,7 @@ impl Composition {
             order,
             ledger,
             rule,
+            walk: BackfillWalk::default(),
         }
     }
 }
@@ -260,6 +265,7 @@ pub struct ComposedEngine {
     order: Box<dyn QueueOrderStrategy>,
     ledger: Box<dyn ReservationLedger>,
     rule: Box<dyn BackfillRule>,
+    walk: BackfillWalk,
 }
 
 impl ComposedEngine {
@@ -300,8 +306,19 @@ impl Engine for ComposedEngine {
         // Stateful orders advance their virtual clocks before the walk;
         // stateless ones no-op, keeping pre-refactor schedules byte-exact.
         self.order.begin_pass(ctx);
-        self.rule
-            .select(ctx, self.order.as_ref(), self.ledger.as_mut())
+        self.rule.select(
+            ctx,
+            self.order.as_ref(),
+            self.ledger.as_mut(),
+            &mut self.walk,
+        )
+    }
+
+    fn drain_counters(&mut self, counters: &mut SimCounters) {
+        let walk = std::mem::take(&mut self.walk);
+        counters.backfill_attempts += walk.examined;
+        counters.backfill_successes += walk.started;
+        counters.earliest_start_calls += self.ledger.take_probes();
     }
 
     fn fork(&self) -> Box<dyn Engine> {
@@ -310,6 +327,7 @@ impl Engine for ComposedEngine {
             order: self.order.clone_box(),
             ledger: self.ledger.clone_box(),
             rule: self.rule.clone_box(),
+            walk: self.walk,
         })
     }
 }

@@ -43,11 +43,11 @@
 //!   `fairschedd` service run on;
 //! * [`simulator`] — the batch driver: [`simulator::simulate`] with a
 //!   [`simulator::SimOptions`] builder for tracing, cancellation, fault
-//!   overrides, and profiling.
+//!   overrides, and reading back the run's own counters.
 //!
 //! Determinism is a contract: equal (trace, config) inputs produce equal
-//! schedules, event ties are totally ordered, and nothing in this crate
-//! consults a clock. The only randomness is the seeded fault model, which
+//! schedules, event ties are totally ordered, and no decision consults a
+//! clock (pass wall times are counted, never read back). The only randomness is the seeded fault model, which
 //! is itself a pure function of the configured fault seed.
 
 mod accounting;
@@ -79,7 +79,5 @@ pub use simulator::{
     simulate, CancelToken, JobRecord, OriginalOutcome, PlacementStats, QueueStats, Schedule,
     SimError, SimOptions,
 };
-#[allow(deprecated)]
-pub use simulator::{try_simulate, try_simulate_traced, try_simulate_with};
 pub use state::{ArrivalView, NullObserver, Observer, ObserverSet, QueuedJob, RunningJob};
 pub use step::{Effect, SimEvent, StepStatus, SteppedSim};

@@ -192,7 +192,6 @@ impl<'a> PrefixSimulator<'a> {
     /// stops as soon as the target starts; the master is left untouched
     /// past `job.submit`.
     pub fn start_of(&mut self, job: &Job) -> Result<Time, SimError> {
-        fairsched_obs::counters::record_warm_start(true);
         self.advance_and_admit(job)?;
         // Fork, don't rebuild: a stateful ledger (static conservative)
         // continues from the master's exact bookkeeping, which equals what

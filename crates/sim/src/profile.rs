@@ -107,7 +107,6 @@ impl Profile {
     /// breakpoints once; O(breakpoints).
     pub fn earliest_start(&self, from: Time, nodes: u32, duration: Time) -> Option<Time> {
         debug_assert!(duration > 0);
-        fairsched_obs::counters::record_earliest_start();
         let budget = self.capacity as i64 - nodes as i64;
         if budget < 0 {
             return None;

@@ -1,7 +1,7 @@
 //! The event-driven simulator: the paper's "locally developed event based
 //! simulator" (§3.1), rebuilt.
 //!
-//! [`try_simulate`] replays a trace under a [`SimConfig`] and produces a
+//! [`simulate`] replays a trace under a [`SimConfig`] and produces a
 //! [`Schedule`]: one record per submission (chunk, when runtime limits are
 //! on), plus the exact loss-of-capacity and utilization integrals.
 //! Trace/config validation and invariant violations come back as a typed
@@ -33,7 +33,7 @@ use crate::starvation::starving_jobs;
 use crate::state::{ArrivalView, Observer, QueuedJob, RunningJob};
 use fairsched_cpa::alloc::AllocId;
 use fairsched_cpa::{frag, Allocator, CountingAllocator, LinearAllocator};
-use fairsched_obs::{counters, TraceHandle, TraceRecord, TraceSink};
+use fairsched_obs::{SimCounters, TraceHandle, TraceRecord, TraceSink};
 use fairsched_workload::job::{GroupId, Job, JobId, UserId};
 use fairsched_workload::time::{Time, WEEK};
 use std::collections::{HashMap, HashSet};
@@ -556,15 +556,18 @@ pub(crate) struct Sim {
     // Checked once per event batch, so a fired token stops the run within
     // one `step` regardless of trace length.
     cancel: Option<CancelToken>,
+    // This run's work counters: passes and their wall time, plus the
+    // probes and backfill walks drained from the engine after each pass.
+    // Write-only, like tracing: nothing here steers a decision.
+    counters: SimCounters,
 }
 
 /// Everything optional about one simulation run, in one builder.
 ///
-/// The historical `try_simulate` / `try_simulate_traced` /
-/// `try_simulate_with` combinatorial surface collapses onto
-/// [`simulate`]`(trace, cfg, observer, SimOptions)`: tracing, cooperative
-/// cancellation, a fault-model override, and pass profiling are all knobs
-/// on this builder instead of positional `Option` parameters.
+/// [`simulate`]`(trace, cfg, observer, SimOptions)` is the one batch entry
+/// point: tracing, cooperative cancellation, a fault-model override, and
+/// reading back the run's [`SimCounters`] are all knobs on this builder
+/// instead of positional `Option` parameters.
 ///
 /// ```
 /// use fairsched_sim::{simulate, NullObserver, SimConfig, SimOptions};
@@ -580,12 +583,12 @@ pub struct SimOptions<'a> {
     pub(crate) sink: Option<&'a mut dyn TraceSink>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) faults: Option<crate::faults::FaultConfig>,
-    pub(crate) profile: bool,
+    pub(crate) counters: Option<&'a mut SimCounters>,
 }
 
 impl<'a> SimOptions<'a> {
     /// No tracing, no cancellation, the config's own fault model, no
-    /// profiling — the plain run.
+    /// counters read back — the plain run.
     pub fn new() -> Self {
         Self::default()
     }
@@ -616,13 +619,11 @@ impl<'a> SimOptions<'a> {
         self
     }
 
-    /// Wraps the run in an [`obs
-    /// ProfileScope`](fairsched_obs::counters::ProfileScope) so pass
-    /// timers and counters record. Callers that need a delta report still
-    /// snapshot [`CounterSnapshot`](fairsched_obs::counters::CounterSnapshot)
-    /// around the call, as `core::runner` does.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
+    /// Writes the run's own [`SimCounters`] into `out` when the run
+    /// succeeds (passes, pass times, `earliest_start` probes, backfill
+    /// walks). Every run counts; this only hands the numbers back.
+    pub fn counters(mut self, out: &'a mut SimCounters) -> Self {
+        self.counters = Some(out);
         self
     }
 }
@@ -687,9 +688,6 @@ pub fn simulate(
         }
         None => cfg,
     };
-    let _scope = opts
-        .profile
-        .then(fairsched_obs::counters::ProfileScope::enter);
     let mut sink = opts.sink;
     let mut core = SteppedSim::with_trace_effects(cfg, sink.is_some())?;
     if let Some(cancel) = opts.cancel {
@@ -705,65 +703,12 @@ pub fn simulate(
             }
         }
     }
+    if let Some(out) = opts.counters {
+        *out = core.counters().clone();
+    }
     let schedule = core.finish()?;
     observer.on_finish(&schedule);
     Ok(schedule)
-}
-
-/// The historical plain entry point; use
-/// [`simulate`]`(trace, cfg, observer, SimOptions::new())` instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate(trace, cfg, observer, SimOptions::new())"
-)]
-pub fn try_simulate(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-) -> Result<Schedule, SimError> {
-    simulate(trace, cfg, observer, SimOptions::new())
-}
-
-/// The historical traced entry point; use
-/// [`simulate`] with [`SimOptions::trace`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate with SimOptions::new().trace(sink)"
-)]
-pub fn try_simulate_traced(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<Schedule, SimError> {
-    let mut opts = SimOptions::new();
-    if let Some(sink) = sink {
-        opts = opts.trace(sink);
-    }
-    simulate(trace, cfg, observer, opts)
-}
-
-/// The historical fully-armed entry point; use
-/// [`simulate`] with [`SimOptions::trace`] + [`SimOptions::cancel`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "use simulate with SimOptions::new().trace(sink).cancel(token)"
-)]
-pub fn try_simulate_with(
-    trace: &[Job],
-    cfg: &SimConfig,
-    observer: &mut dyn Observer,
-    sink: Option<&mut dyn TraceSink>,
-    cancel: Option<CancelToken>,
-) -> Result<Schedule, SimError> {
-    let mut opts = SimOptions::new();
-    if let Some(sink) = sink {
-        opts = opts.trace(sink);
-    }
-    if let Some(cancel) = cancel {
-        opts = opts.cancel(cancel);
-    }
-    simulate(trace, cfg, observer, opts)
 }
 
 pub(crate) fn make_engine_for(cfg: &SimConfig) -> Box<dyn Engine> {
@@ -800,6 +745,7 @@ impl Sim {
             trace: None,
             promoted: HashSet::new(),
             cancel: None,
+            counters: SimCounters::default(),
         };
         for job in trace {
             sim.admit(job);
@@ -818,6 +764,11 @@ impl Sim {
             self.repairs.insert(f.seq, f.repair);
             self.events.push(f.time, EventKind::NodeDown, JobId(f.seq));
         }
+    }
+
+    /// This run's work counters so far.
+    pub(crate) fn counters(&self) -> &SimCounters {
+        &self.counters
     }
 
     /// The configuration this run is under.
@@ -1406,7 +1357,7 @@ impl Sim {
 
     /// Runs the engine (and the when-needed kill rule) to a fixpoint.
     fn schedule_pass(&mut self, engine: &mut dyn Engine, observer: &mut dyn Observer) {
-        let timer = counters::pass_timer();
+        let started = std::time::Instant::now();
         loop {
             let starts = {
                 let ctx = engine_ctx(self);
@@ -1434,7 +1385,9 @@ impl Sim {
             }
             break;
         }
-        timer.finish();
+        engine.drain_counters(&mut self.counters);
+        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.counters.count_pass(ns);
     }
 
     pub(crate) fn check_conservation_pub(&self) -> Result<(), SimError> {
@@ -1526,23 +1479,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain.records, guarded.records);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_route_through_the_builder() {
-        let trace = [job(1, 1, 0, 1, 100, 100), job(2, 2, 5, 4, 50, 50)];
-        let c = cfg(10, EngineKind::NoGuarantee);
-        let plain = run(&trace, &c);
-        assert_eq!(try_simulate(&trace, &c, &mut NullObserver).unwrap(), plain);
-        assert_eq!(
-            try_simulate_traced(&trace, &c, &mut NullObserver, None).unwrap(),
-            plain
-        );
-        assert_eq!(
-            try_simulate_with(&trace, &c, &mut NullObserver, None, None).unwrap(),
-            plain
-        );
     }
 
     /// Counts every observer hook and remembers what it saw.

@@ -24,7 +24,7 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::simulator::{make_engine_for, CancelToken, JobRecord, Schedule, Sim, SimError};
 use crate::state::Observer;
-use fairsched_obs::{TraceHandle, TraceRecord};
+use fairsched_obs::{SimCounters, TraceHandle, TraceRecord};
 use fairsched_workload::job::{Job, JobId};
 use fairsched_workload::time::Time;
 use std::sync::{Arc, Mutex};
@@ -212,6 +212,13 @@ impl SteppedSim {
             down,
             next_event: self.sim.next_event_time(),
         }
+    }
+
+    /// This core's own work counters: scheduler passes and their wall
+    /// times, `earliest_start` probes, backfill candidates examined and
+    /// started. Nothing outside this core moves them.
+    pub fn counters(&self) -> &SimCounters {
+        self.sim.counters()
     }
 
     /// The start time of a submission that has already started, if any.

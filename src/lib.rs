@@ -63,8 +63,7 @@ pub mod prelude {
         ResilienceReport, UserFairness,
     };
     pub use fairsched_obs::{
-        CounterSnapshot, DecisionTracer, ProfileReport, ProfileScope, StartCause, TraceRecord,
-        TraceSink,
+        DecisionTracer, ProfileReport, SimCounters, StartCause, TraceRecord, TraceSink,
     };
     pub use fairsched_served::{
         AdvanceResponse, Client, ClockMode, Daemon, SealResponse, ServeError, Session,
