@@ -1062,10 +1062,10 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
 /// (the source of server-side submit latency quantiles).
 fn render_watch_frame(
     s: &fairsched_served::StatusResponse,
-    fairness: &fairsched_served::json::Json,
+    fairness: &fairsched_obs::json::Json,
     metrics_text: &str,
 ) -> String {
-    use fairsched_served::json::Json;
+    use fairsched_obs::json::Json;
     let f_u64 = |key: &str| fairness.get(key).and_then(Json::as_u64).unwrap_or(0);
     let f_f64 = |key: &str| fairness.get(key).and_then(Json::as_f64).unwrap_or(0.0);
 
@@ -1852,7 +1852,7 @@ mod tests {
             next_event: Some(650),
             sealed: false,
         };
-        let fairness = fairsched_served::json::parse(
+        let fairness = fairsched_obs::json::parse(
             r#"{"percent_unfair": 0.25, "scored": 4, "total_miss": 120,
                 "mean_wait": 30.5, "mean_slowdown": 1.75, "live_fst_misses": 2,
                 "worst_live_miss": 90, "starvation_age": 200, "utilization": 0.8}"#,

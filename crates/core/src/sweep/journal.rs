@@ -5,22 +5,19 @@
 //! then one line per *terminal* cell outcome (ok / failed / timed_out /
 //! poisoned — in-process retries are not journaled). The wire discipline —
 //! sealed `"crc"` lines, torn-write tolerance, schema-version skipping,
-//! hand-rolled JSON (the workspace's serde is a deliberate no-op stub) —
-//! lives in the shared [`crate::journal`] module, which the online
-//! service's submission journal uses too. This module owns only the sweep
-//! schema: what a cell row says and how a replay folds rows into resume
-//! state.
+//! rows as [`Json`] values through the workspace's one codec — lives in
+//! the shared [`crate::journal`] module, which the online service's
+//! submission journal uses too. This module owns only the sweep schema:
+//! what a cell row says and how a replay folds rows into resume state.
 //!
-//! Floats are written with Rust's shortest-round-trip `Display` and read
-//! back with `str::parse::<f64>`, which makes a replayed row's metrics
+//! The codec writes floats with Rust's shortest-round-trip `Display` and
+//! parses them back exactly, which makes a replayed row's metrics
 //! bit-identical to the run that produced them — the property the
 //! kill-and-resume test pins.
 
-use crate::journal::{
-    escape, json_f64, json_f64_array, json_str, json_u32, json_u64, replay_lines, seal_line,
-    LineWriter,
-};
+use crate::journal::{replay_lines, seal_line, LineWriter};
 use crate::runner::OutcomeMetrics;
+use fairsched_obs::json::Json;
 use fairsched_workload::categories::WIDTH_BUCKETS;
 use std::path::Path;
 
@@ -87,79 +84,87 @@ pub struct CellRow {
     pub metrics: Option<OutcomeMetrics>,
 }
 
-fn fmt_array(vals: &[f64]) -> String {
-    let inner: Vec<String> = vals.iter().map(|v| format!("{v}")).collect();
-    format!("[{}]", inner.join(","))
+fn header_row(fingerprint: u64, cells: u64) -> Json {
+    Json::obj([
+        ("v", Json::UInt(SCHEMA_VERSION)),
+        ("kind", Json::Str("header".into())),
+        ("fingerprint", Json::UInt(fingerprint)),
+        ("cells", Json::UInt(cells)),
+    ])
 }
 
-fn header_body(fingerprint: u64, cells: u64) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"header\",\"fingerprint\":{fingerprint},\"cells\":{cells}"
-    )
+fn floats(vals: &[f64]) -> Json {
+    Json::Arr(vals.iter().map(|&v| Json::Float(v)).collect())
+}
+
+fn float_array<const N: usize>(row: &Json, key: &str) -> Option<[f64; N]> {
+    let items = row.get(key)?.as_arr()?;
+    let floats: Option<Vec<f64>> = items.iter().map(Json::as_f64).collect();
+    floats?.try_into().ok()
 }
 
 impl CellRow {
-    fn body(&self) -> String {
-        let mut b = format!(
-            "{{\"v\":{SCHEMA_VERSION},\"kind\":\"cell\",\"cell\":{},\"policy\":\"{}\",\
-             \"workload_seed\":{},\"fault\":\"{}\",\"fault_seed\":{},\"status\":\"{}\",\
-             \"attempts\":{},\"detail\":\"{}\"",
-            self.cell,
-            escape(&self.policy),
-            self.workload_seed,
-            escape(&self.fault),
-            self.fault_seed,
-            self.status.as_str(),
-            self.attempts,
-            escape(&self.detail),
-        );
+    fn to_json(&self) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        let mut pairs = vec![
+            ("v", Json::UInt(SCHEMA_VERSION)),
+            ("kind", text("cell")),
+            ("cell", Json::UInt(self.cell)),
+            ("policy", text(&self.policy)),
+            ("workload_seed", Json::UInt(self.workload_seed)),
+            ("fault", text(&self.fault)),
+            ("fault_seed", Json::UInt(self.fault_seed)),
+            ("status", text(self.status.as_str())),
+            ("attempts", Json::UInt(self.attempts.into())),
+            ("detail", text(&self.detail)),
+        ];
         if let Some(m) = &self.metrics {
-            b.push_str(&format!(
-                ",\"percent_unfair\":{},\"average_miss_time\":{},\"average_turnaround\":{},\
-                 \"loss_of_capacity\":{},\"utilization\":{},\"miss_by_width\":{},\
-                 \"turnaround_by_width\":{}",
-                m.percent_unfair,
-                m.average_miss_time,
-                m.average_turnaround,
-                m.loss_of_capacity,
-                m.utilization,
-                fmt_array(&m.miss_by_width),
-                fmt_array(&m.turnaround_by_width),
-            ));
+            pairs.extend([
+                ("percent_unfair", Json::Float(m.percent_unfair)),
+                ("average_miss_time", Json::Float(m.average_miss_time)),
+                ("average_turnaround", Json::Float(m.average_turnaround)),
+                ("loss_of_capacity", Json::Float(m.loss_of_capacity)),
+                ("utilization", Json::Float(m.utilization)),
+                ("miss_by_width", floats(&m.miss_by_width)),
+                ("turnaround_by_width", floats(&m.turnaround_by_width)),
+            ]);
         }
-        b
+        Json::obj(pairs)
     }
 
     /// The sealed JSONL line (newline included).
     pub fn to_jsonl(&self) -> String {
-        seal_line(&self.body())
+        seal_line(&self.to_json())
     }
 
-    /// Parses a *verified* body (checksum already checked by the caller).
-    fn from_body(body: &str) -> Option<CellRow> {
-        let status = CellStatus::parse(&json_str(body, "status")?)?;
+    /// Reads a *verified* row (checksum already checked by the caller).
+    fn from_json(row: &Json) -> Option<CellRow> {
+        let u64_at = |key: &str| row.get(key).and_then(Json::as_u64);
+        let f64_at = |key: &str| row.get(key).and_then(Json::as_f64);
+        let str_at = |key: &str| row.get(key).and_then(Json::as_str).map(str::to_string);
+        let status = CellStatus::parse(row.get("status")?.as_str()?)?;
         let metrics = if status == CellStatus::Ok {
             Some(OutcomeMetrics {
-                percent_unfair: json_f64(body, "percent_unfair")?,
-                average_miss_time: json_f64(body, "average_miss_time")?,
-                average_turnaround: json_f64(body, "average_turnaround")?,
-                loss_of_capacity: json_f64(body, "loss_of_capacity")?,
-                utilization: json_f64(body, "utilization")?,
-                miss_by_width: json_f64_array::<WIDTH_BUCKETS>(body, "miss_by_width")?,
-                turnaround_by_width: json_f64_array::<WIDTH_BUCKETS>(body, "turnaround_by_width")?,
+                percent_unfair: f64_at("percent_unfair")?,
+                average_miss_time: f64_at("average_miss_time")?,
+                average_turnaround: f64_at("average_turnaround")?,
+                loss_of_capacity: f64_at("loss_of_capacity")?,
+                utilization: f64_at("utilization")?,
+                miss_by_width: float_array::<WIDTH_BUCKETS>(row, "miss_by_width")?,
+                turnaround_by_width: float_array::<WIDTH_BUCKETS>(row, "turnaround_by_width")?,
             })
         } else {
             None
         };
         Some(CellRow {
-            cell: json_u64(body, "cell")?,
-            policy: json_str(body, "policy")?,
-            workload_seed: json_u64(body, "workload_seed")?,
-            fault: json_str(body, "fault")?,
-            fault_seed: json_u64(body, "fault_seed")?,
+            cell: u64_at("cell")?,
+            policy: str_at("policy")?,
+            workload_seed: u64_at("workload_seed")?,
+            fault: str_at("fault")?,
+            fault_seed: u64_at("fault_seed")?,
             status,
-            attempts: json_u32(body, "attempts")?,
-            detail: json_str(body, "detail")?,
+            attempts: u32::try_from(u64_at("attempts")?).ok()?,
+            detail: str_at("detail")?,
             metrics,
         })
     }
@@ -188,7 +193,7 @@ impl JournalWriter {
             pending: 0,
             batch: SYNC_BATCH,
         };
-        w.write_body(&header_body(fingerprint, cells))?;
+        w.write_line(&header_row(fingerprint, cells))?;
         w.sync()?;
         Ok(w)
     }
@@ -202,8 +207,8 @@ impl JournalWriter {
         })
     }
 
-    fn write_body(&mut self, body: &str) -> std::io::Result<()> {
-        self.out.write_sealed(body)?;
+    fn write_line(&mut self, row: &Json) -> std::io::Result<()> {
+        self.out.write_sealed(row)?;
         // Hand the row to the kernel right away: a SIGKILLed process then
         // loses nothing — only the fsync (power-cut durability) is
         // batched, because it is the expensive half.
@@ -217,7 +222,7 @@ impl JournalWriter {
 
     /// Appends one sealed row.
     pub fn write_row(&mut self, row: &CellRow) -> std::io::Result<()> {
-        self.write_body(&row.body())
+        self.write_line(&row.to_json())
     }
 
     /// Flushes buffered rows and fsyncs the file.
@@ -275,13 +280,13 @@ pub fn replay(path: &Path) -> std::io::Result<JournalReplay> {
         path,
         SCHEMA_VERSION,
         "the affected cell will re-run",
-        |body| match json_str(body, "kind").as_deref() {
+        |row| match row.get("kind").and_then(Json::as_str) {
             Some("header") => {
-                replay.fingerprint = json_u64(body, "fingerprint");
-                replay.cells = json_u64(body, "cells");
+                replay.fingerprint = row.get("fingerprint").and_then(Json::as_u64);
+                replay.cells = row.get("cells").and_then(Json::as_u64);
                 Ok(())
             }
-            Some("cell") => match CellRow::from_body(body) {
+            Some("cell") => match CellRow::from_json(row) {
                 Some(row) => {
                     replay.rows.push(row);
                     Ok(())
@@ -299,6 +304,7 @@ pub fn replay(path: &Path) -> std::io::Result<JournalReplay> {
 mod tests {
     use super::*;
     use crate::journal::{fnv1a, unseal_line};
+    use fairsched_obs::json;
 
     fn row(cell: u64, status: CellStatus) -> CellRow {
         CellRow {
@@ -396,7 +402,11 @@ mod tests {
         let path = tmp("version.jsonl");
         write_journal(&path, &[row(0, CellStatus::Ok)]);
         // Append a validly-sealed row from a "future" schema.
-        let future = seal_line("{\"v\":999,\"kind\":\"cell\",\"cell\":5");
+        let future = seal_line(&Json::obj([
+            ("v", Json::UInt(999)),
+            ("kind", Json::Str("cell".into())),
+            ("cell", Json::UInt(5)),
+        ]));
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&future);
         std::fs::write(&path, text).unwrap();
@@ -438,7 +448,7 @@ mod tests {
         let line = r.to_jsonl();
         let (body, crc) = unseal_line(line.trim_end()).unwrap();
         assert_eq!(fnv1a(body.as_bytes()), crc);
-        let parsed = CellRow::from_body(body).unwrap();
+        let parsed = CellRow::from_json(&json::parse(line.trim_end()).unwrap()).unwrap();
         assert_eq!(parsed.detail, "it \"broke\"\nbadly");
         assert_eq!(parsed, r);
     }

@@ -1,12 +1,23 @@
-//! A minimal JSON value model, parser, and emitter.
+//! The workspace's one JSON codec: a value model, parser, and emitter.
 //!
 //! The workspace vendors `serde` as a no-op API stub (no registry access),
-//! so the service speaks JSON through this hand-rolled module instead —
-//! the same choice `fairsched-obs` made for `TraceRecord::to_jsonl`. The
-//! subset is exactly what the wire protocol needs: objects, arrays,
-//! strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes, integers up to `u64`,
-//! floats, booleans, and null. Emission of integers is exact (no float
-//! round-trip), which matters for `Time` values past 2^53.
+//! so everything that reads or writes JSON text goes through this module:
+//! the service's wire protocol, both checksummed journals (sweep cells and
+//! session submissions), and [`TraceRecord::to_jsonl`](crate::TraceRecord::to_jsonl).
+//! The subset is exactly what those need: objects, arrays, strings with
+//! `\"`/`\\`/`\n`/`\t`/`\u` escapes, integers up to `u64`, floats,
+//! booleans, and null.
+//!
+//! * Integers are emitted exactly (no float round-trip), which matters for
+//!   `Time` values past 2^53.
+//! * Floats are emitted with Rust's shortest-round-trip `Display`, so a
+//!   parsed float is bit-identical to the one rendered. An integral float
+//!   renders without a fraction (`7.0` as `7`) and parses back as
+//!   [`Json::UInt`]; read floats through [`Json::as_f64`], which widens.
+//! * Object keys are emitted in sorted order; readers look fields up by
+//!   key, never by position.
+//! * Nesting deeper than [`MAX_DEPTH`] is a parse error, not a stack
+//!   overflow: the daemon parses untrusted request bodies.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -167,11 +178,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// How many arrays and objects may enclose a value. The parser recurses
+/// once per level; the cap bounds its stack use far below a thread's
+/// default stack while sitting far above any document the workspace
+/// exchanges.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON value; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError {
@@ -204,8 +222,11 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH}")));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -221,7 +242,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -249,7 +270,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -312,7 +333,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
                 let c = s.chars().next().expect("nonempty");
                 if b < 0x20 {
-                    return Err(err(*pos, "unescaped control character"));
+                    return Err(err(*pos, "raw control character in string"));
                 }
                 out.push(c);
                 *pos += c.len_utf8();
@@ -371,6 +392,16 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "{\"a\":}", "01x", "{\"a\":1} trailing"] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past_cap).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

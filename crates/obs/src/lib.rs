@@ -1,7 +1,8 @@
 //! # fairsched-obs
 //!
 //! Observability for the fairsched stack: decision traces, per-run
-//! counters, a metrics registry, and a small logging facade.
+//! counters, a metrics registry, a small logging facade, and the
+//! workspace's JSON codec.
 //!
 //! * Tracing rides an `Option<&SharedSink>` threaded through the simulator
 //!   and engines — untraced runs test one `Option` per emission site and
@@ -17,12 +18,14 @@
 //! [`Time`](fairsched_workload::time::Time)): the simulator depends on
 //! *it*, never the other way around.
 //!
-//! Record serialization is newline-delimited JSON. The workspace's vendored
-//! `serde` is an API-surface stub whose derives expand to nothing, so
-//! [`TraceRecord::to_jsonl`] writes the line by hand — every field is
-//! numeric or a fixed tag, so no escaping machinery is needed.
+//! [`json`] is the only code in the workspace that writes or parses JSON
+//! text (the vendored `serde` is an API-surface stub whose derives expand
+//! to nothing). It lives here because every crate that speaks JSON — the
+//! journals in `fairsched-core`, the service, the CLI — already depends
+//! on this one. [`TraceRecord::to_jsonl`] renders through it.
 
 pub mod counters;
+pub mod json;
 pub mod log;
 pub mod registry;
 pub mod trace;

@@ -15,9 +15,9 @@
 //! by the warm-start fan-out and the sweep watchdog.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::json::Json;
 use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 
@@ -131,113 +131,95 @@ impl TraceRecord {
         }
     }
 
-    /// Renders the record as one line of JSON (no trailing newline).
-    ///
-    /// Hand-rolled because the vendored serde is a no-op stub; every field
-    /// is numeric or a fixed tag, so the writer needs no escaping.
+    /// Renders the record as one line of JSON (no trailing newline): an
+    /// object whose `"type"` names the variant, plus one key per field.
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(96);
-        match self {
+        let u = Json::UInt;
+        let id = |job: JobId| Json::UInt(job.0.into());
+        let (kind, mut fields) = match *self {
             TraceRecord::JobStarted {
-                at,
                 job,
                 nodes,
-                cause,
+                ref cause,
+                ..
             } => {
-                write!(
-                    s,
-                    r#"{{"type":"job_started","at":{at},"job":{},"nodes":{nodes},"cause":"{}""#,
-                    job.0,
-                    cause.tag()
-                )
-                .unwrap();
+                let mut fields = vec![
+                    ("job", id(job)),
+                    ("nodes", u(nodes.into())),
+                    ("cause", Json::Str(cause.tag().into())),
+                ];
                 if let StartCause::Backfilled { bypassed } = cause {
-                    s.push_str(r#","bypassed":["#);
-                    for (i, id) in bypassed.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        write!(s, "{}", id.0).unwrap();
-                    }
-                    s.push(']');
+                    let ids = bypassed.iter().map(|&job| id(job)).collect();
+                    fields.push(("bypassed", Json::Arr(ids)));
                 }
-                s.push('}');
+                ("job_started", fields)
             }
-            TraceRecord::ReservationMade { at, job, start } => {
-                write!(
-                    s,
-                    r#"{{"type":"reservation_made","at":{at},"job":{},"start":{start}}}"#,
-                    job.0
-                )
-                .unwrap();
-            }
-            TraceRecord::ReservationShifted { at, job, from, to } => {
-                write!(
-                    s,
-                    r#"{{"type":"reservation_shifted","at":{at},"job":{},"from":{from},"to":{to}}}"#,
-                    job.0
-                )
-                .unwrap();
-            }
-            TraceRecord::StarvationPromoted { at, job, waited } => {
-                write!(
-                    s,
-                    r#"{{"type":"starvation_promoted","at":{at},"job":{},"waited":{waited}}}"#,
-                    job.0
-                )
-                .unwrap();
-            }
+            TraceRecord::ReservationMade { job, start, .. } => (
+                "reservation_made",
+                vec![("job", id(job)), ("start", u(start))],
+            ),
+            TraceRecord::ReservationShifted { job, from, to, .. } => (
+                "reservation_shifted",
+                vec![("job", id(job)), ("from", u(from)), ("to", u(to))],
+            ),
+            TraceRecord::StarvationPromoted { job, waited, .. } => (
+                "starvation_promoted",
+                vec![("job", id(job)), ("waited", u(waited))],
+            ),
             TraceRecord::FaultRequeued {
-                at,
                 origin,
                 job,
                 retry,
                 lost,
-            } => {
-                write!(
-                    s,
-                    r#"{{"type":"fault_requeued","at":{at},"origin":{},"job":{},"retry":{},"lost":{lost}}}"#,
-                    origin.0, job.0, retry.0
-                )
-                .unwrap();
-            }
-            TraceRecord::NodeFailed { at, node, until } => {
-                write!(
-                    s,
-                    r#"{{"type":"node_failed","at":{at},"node":{node},"until":{until}}}"#
-                )
-                .unwrap();
+                ..
+            } => (
+                "fault_requeued",
+                vec![
+                    ("origin", id(origin)),
+                    ("job", id(job)),
+                    ("retry", id(retry)),
+                    ("lost", u(lost)),
+                ],
+            ),
+            TraceRecord::NodeFailed { node, until, .. } => {
+                ("node_failed", vec![("node", u(node)), ("until", u(until))])
             }
             TraceRecord::VirtualInversion {
-                at,
                 job,
                 displaced,
                 job_key,
                 displaced_key,
-            } => {
-                write!(
-                    s,
-                    r#"{{"type":"virtual_inversion","at":{at},"job":{},"displaced":{},"job_key":{job_key:.3},"displaced_key":{displaced_key:.3}}}"#,
-                    job.0, displaced.0
-                )
-                .unwrap();
-            }
+                ..
+            } => (
+                "virtual_inversion",
+                vec![
+                    ("job", id(job)),
+                    ("displaced", id(displaced)),
+                    ("job_key", Json::Float(job_key)),
+                    ("displaced_key", Json::Float(displaced_key)),
+                ],
+            ),
             TraceRecord::QueueSample {
-                at,
                 depth,
                 queued_nodes,
                 free_nodes,
                 running,
                 util,
-            } => {
-                write!(
-                    s,
-                    r#"{{"type":"queue_sample","at":{at},"depth":{depth},"queued_nodes":{queued_nodes},"free_nodes":{free_nodes},"running":{running},"util":{util:.4}}}"#
-                )
-                .unwrap();
-            }
-        }
-        s
+                ..
+            } => (
+                "queue_sample",
+                vec![
+                    ("depth", u(depth as u64)),
+                    ("queued_nodes", u(queued_nodes)),
+                    ("free_nodes", u(free_nodes.into())),
+                    ("running", u(running as u64)),
+                    ("util", Json::Float(util)),
+                ],
+            ),
+        };
+        fields.push(("type", Json::Str(kind.into())));
+        fields.push(("at", u(self.at())));
+        Json::obj(fields).render()
     }
 }
 
@@ -422,38 +404,100 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_valid_single_objects() {
-        let recs = vec![
-            TraceRecord::JobStarted {
-                at: 10,
-                job: JobId(7),
-                nodes: 16,
-                cause: StartCause::Backfilled {
-                    bypassed: vec![JobId(3), JobId(5)],
+        use crate::json::{parse, Json};
+        let cases = [
+            (
+                TraceRecord::JobStarted {
+                    at: 10,
+                    job: JobId(7),
+                    nodes: 16,
+                    cause: StartCause::Backfilled {
+                        bypassed: vec![JobId(3), JobId(5)],
+                    },
                 },
-            },
-            TraceRecord::ReservationShifted {
-                at: 20,
-                job: JobId(3),
-                from: 100,
-                to: 180,
-            },
-            TraceRecord::QueueSample {
-                at: 30,
-                depth: 4,
-                queued_nodes: 96,
-                free_nodes: 32,
-                running: 2,
-                util: 0.5,
-            },
+                r#"{"type":"job_started","at":10,"job":7,"nodes":16,"cause":"backfilled","bypassed":[3,5]}"#,
+            ),
+            (
+                TraceRecord::JobStarted {
+                    at: 11,
+                    job: JobId(8),
+                    nodes: 2,
+                    cause: StartCause::StarvationGuard,
+                },
+                r#"{"type":"job_started","at":11,"job":8,"nodes":2,"cause":"starvation_guard"}"#,
+            ),
+            (
+                TraceRecord::ReservationMade {
+                    at: 15,
+                    job: JobId(3),
+                    start: 100,
+                },
+                r#"{"type":"reservation_made","at":15,"job":3,"start":100}"#,
+            ),
+            (
+                TraceRecord::ReservationShifted {
+                    at: 20,
+                    job: JobId(3),
+                    from: 100,
+                    to: 180,
+                },
+                r#"{"type":"reservation_shifted","at":20,"job":3,"from":100,"to":180}"#,
+            ),
+            (
+                TraceRecord::StarvationPromoted {
+                    at: 25,
+                    job: JobId(4),
+                    waited: 86_400,
+                },
+                r#"{"type":"starvation_promoted","at":25,"job":4,"waited":86400}"#,
+            ),
+            (
+                TraceRecord::FaultRequeued {
+                    at: 26,
+                    origin: JobId(5),
+                    job: JobId(9),
+                    retry: JobId(12),
+                    lost: 300,
+                },
+                r#"{"type":"fault_requeued","at":26,"origin":5,"job":9,"retry":12,"lost":300}"#,
+            ),
+            (
+                TraceRecord::NodeFailed {
+                    at: 27,
+                    node: 511,
+                    until: 3_627,
+                },
+                r#"{"type":"node_failed","at":27,"node":511,"until":3627}"#,
+            ),
+            (
+                TraceRecord::VirtualInversion {
+                    at: 28,
+                    job: JobId(6),
+                    displaced: JobId(2),
+                    job_key: 12.125,
+                    displaced_key: 1.0e9 + 0.5,
+                },
+                r#"{"type":"virtual_inversion","at":28,"job":6,"displaced":2,"job_key":12.125,"displaced_key":1000000000.5}"#,
+            ),
+            (
+                TraceRecord::QueueSample {
+                    at: 30,
+                    depth: 4,
+                    queued_nodes: 96,
+                    free_nodes: 32,
+                    running: 2,
+                    util: 0.8125,
+                },
+                r#"{"type":"queue_sample","at":30,"depth":4,"queued_nodes":96,"free_nodes":32,"running":2,"util":0.8125}"#,
+            ),
         ];
-        for rec in &recs {
+        for (rec, expected) in &cases {
             let line = rec.to_jsonl();
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(!line.contains('\n'));
-            assert!(line.contains(r#""type":""#));
+            assert!(!line.contains('\n'), "{line}");
+            let got = parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(matches!(got, Json::Obj(_)), "{line}");
+            assert_eq!(got, parse(expected).unwrap(), "{line}");
         }
-        assert!(recs[0].to_jsonl().contains(r#""bypassed":[3,5]"#));
-        assert!(recs[1].to_jsonl().contains(r#""from":100,"to":180"#));
     }
 
     #[test]

@@ -45,11 +45,11 @@
 
 use crate::api::{ServeError, SessionSpec};
 use crate::http::{read_request, write_response, write_stream_header, Request};
-use crate::json::{parse, Json};
 use crate::metrics::{route_label, ServiceMetrics};
 use crate::registry::SessionRegistry;
 use crate::session::{Session, SessionConfig};
 use crate::{api, SubmitRequest};
+use fairsched_obs::json::{parse, Json};
 use fairsched_workload::job::JobId;
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
@@ -230,11 +230,15 @@ impl Daemon {
                         // Explicit backpressure: the queue is full, so
                         // shed this connection rather than grow without
                         // bound.
+                        let body = Json::obj([
+                            ("error", Json::Str("overloaded".into())),
+                            ("detail", Json::Str("accept queue full".into())),
+                        ]);
                         let _ = write_response(
                             &mut conn.stream,
                             503,
                             "application/json",
-                            "{\"error\":\"overloaded\",\"detail\":\"accept queue full\"}",
+                            &body.render(),
                             true,
                         );
                         accept_metrics.observe_request("other", 503, 0);

@@ -23,9 +23,8 @@
 use crate::api::{ServeError, SubmitRequest};
 use crate::clock::ClockMode;
 use crate::session::SessionConfig;
-use fairsched_core::journal::{
-    escape, json_f64, json_str, json_u32, json_u64, replay_lines, LineWriter,
-};
+use fairsched_core::journal::{replay_lines, LineWriter};
+use fairsched_obs::json::Json;
 use fairsched_workload::time::Time;
 use std::path::{Path, PathBuf};
 
@@ -95,34 +94,58 @@ pub struct RecoveredSession {
     pub skipped: usize,
 }
 
-fn clock_body(mode: ClockMode) -> String {
-    match mode {
-        ClockMode::Manual => "\"clock\":\"manual\",\"speedup\":0".into(),
-        ClockMode::Realtime { speedup } => {
-            format!("\"clock\":\"realtime\",\"speedup\":{speedup}")
-        }
+/// A journal row: the object `fields` plus the schema version and `kind`.
+fn row(kind: &str, mut fields: Json) -> Json {
+    if let Json::Obj(map) = &mut fields {
+        map.insert("v".into(), Json::UInt(SCHEMA_VERSION));
+        map.insert("kind".into(), Json::Str(kind.into()));
     }
+    fields
 }
 
-fn header_body(name: &str, cfg: &SessionConfig) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"header\",\"session\":\"{}\",\"policy\":\"{}\",\
-         \"nodes\":{},\"id_floor\":{},\"traced\":{},{}",
-        escape(name),
-        escape(&cfg.policy),
-        cfg.nodes,
-        cfg.id_floor,
-        u8::from(cfg.traced),
-        clock_body(cfg.clock),
+fn header_row(name: &str, cfg: &SessionConfig) -> Json {
+    let (clock, speedup) = match cfg.clock {
+        ClockMode::Manual => ("manual", Json::UInt(0)),
+        ClockMode::Realtime { speedup } => ("realtime", Json::Float(speedup)),
+    };
+    row(
+        "header",
+        Json::obj([
+            ("session", Json::Str(name.into())),
+            ("policy", Json::Str(cfg.policy.clone())),
+            ("nodes", Json::UInt(cfg.nodes.into())),
+            ("id_floor", Json::UInt(cfg.id_floor.into())),
+            ("traced", Json::UInt(cfg.traced.into())),
+            ("clock", Json::Str(clock.into())),
+            ("speedup", speedup),
+        ]),
     )
 }
 
-fn submit_body(req: &SubmitRequest) -> String {
-    format!(
-        "{{\"v\":{SCHEMA_VERSION},\"kind\":\"submit\",\"id\":{},\"user\":{},\"group\":{},\
-         \"submit\":{},\"nodes\":{},\"runtime\":{},\"estimate\":{}",
-        req.id, req.user, req.group, req.submit, req.nodes, req.runtime, req.estimate,
-    )
+/// Reads a header row back into the session name and configuration.
+fn parse_header(header: &Json) -> Option<(String, SessionConfig)> {
+    let u32_at = |key: &str| u32::try_from(header.get(key)?.as_u64()?).ok();
+    let str_at = |key: &str| header.get(key).and_then(Json::as_str);
+    let name = str_at("session")?;
+    if !valid_session_name(name) {
+        return None;
+    }
+    let clock = match str_at("clock")? {
+        "manual" => ClockMode::Manual,
+        "realtime" => ClockMode::Realtime {
+            speedup: header.get("speedup")?.as_f64()?,
+        },
+        _ => return None,
+    };
+    let config = SessionConfig {
+        policy: str_at("policy")?.to_string(),
+        nodes: u32_at("nodes")?,
+        clock,
+        traced: header.get("traced")?.as_u64()? != 0,
+        id_floor: u32_at("id_floor")?,
+        ..SessionConfig::default()
+    };
+    Some((name.to_string(), config))
 }
 
 /// The write half: owned by one [`Session`](crate::session::Session),
@@ -139,7 +162,7 @@ impl SessionJournal {
     pub fn create(dir: &Path, name: &str, cfg: &SessionConfig) -> std::io::Result<SessionJournal> {
         std::fs::create_dir_all(dir)?;
         let mut out = LineWriter::create(&journal_path(dir, name))?;
-        out.write_sealed(&header_body(name, cfg))?;
+        out.write_sealed(&header_row(name, cfg))?;
         out.sync()?;
         Ok(SessionJournal {
             out,
@@ -159,22 +182,21 @@ impl SessionJournal {
     /// Buffers one accepted submission. Returns bytes written.
     pub fn append_submit(&mut self, req: &SubmitRequest) -> std::io::Result<u64> {
         self.uncommitted = true;
-        self.out.write_sealed(&submit_body(req))
+        self.out.write_sealed(&row("submit", req.to_json()))
     }
 
     /// Buffers one clock grant. Returns bytes written.
     pub fn append_grant(&mut self, to: Time) -> std::io::Result<u64> {
         self.uncommitted = true;
-        self.out.write_sealed(&format!(
-            "{{\"v\":{SCHEMA_VERSION},\"kind\":\"grant\",\"to\":{to}"
-        ))
+        self.out
+            .write_sealed(&row("grant", Json::obj([("to", Json::UInt(to))])))
     }
 
     /// Buffers the seal marker. Returns bytes written.
     pub fn append_seal(&mut self) -> std::io::Result<u64> {
         self.uncommitted = true;
         self.out
-            .write_sealed(&format!("{{\"v\":{SCHEMA_VERSION},\"kind\":\"seal\""))
+            .write_sealed(&row("seal", Json::Obj(Default::default())))
     }
 
     /// Commits everything buffered since the last commit: one flush (the
@@ -204,64 +226,27 @@ pub fn replay(path: &Path) -> Result<Option<RecoveredSession>, ServeError> {
         path,
         SCHEMA_VERSION,
         "the row is lost to recovery",
-        |body| match json_str(body, "kind").as_deref() {
-            Some("header") => {
-                let parse = || -> Option<RecoveredSession> {
-                    let name = json_str(body, "session")?;
-                    if !valid_session_name(&name) {
-                        return None;
-                    }
-                    let clock = match json_str(body, "clock")?.as_str() {
-                        "manual" => ClockMode::Manual,
-                        "realtime" => ClockMode::Realtime {
-                            speedup: json_f64(body, "speedup")?,
-                        },
-                        _ => return None,
-                    };
-                    Some(RecoveredSession {
+        |line| match line.get("kind").and_then(Json::as_str) {
+            Some("header") => match parse_header(line) {
+                Some((name, config)) if recovered.is_none() => {
+                    recovered = Some(RecoveredSession {
                         name,
-                        config: SessionConfig {
-                            policy: json_str(body, "policy")?,
-                            nodes: json_u32(body, "nodes")?,
-                            clock,
-                            traced: json_u64(body, "traced")? != 0,
-                            id_floor: json_u32(body, "id_floor")?,
-                            ..SessionConfig::default()
-                        },
+                        config,
                         events: Vec::new(),
                         skipped: 0,
-                    })
-                };
-                match parse() {
-                    Some(r) if recovered.is_none() => {
-                        recovered = Some(r);
-                        Ok(())
-                    }
-                    Some(_) => Err("duplicate header".into()),
-                    None => Err("malformed header".into()),
+                    });
+                    Ok(())
                 }
-            }
+                Some(_) => Err("duplicate header".into()),
+                None => Err("malformed header".into()),
+            },
             Some("submit") => {
-                let parse = || -> Option<SubmitRequest> {
-                    Some(SubmitRequest {
-                        id: json_u32(body, "id")?,
-                        user: json_u32(body, "user")?,
-                        group: json_u32(body, "group")?,
-                        submit: json_u64(body, "submit")?,
-                        nodes: json_u32(body, "nodes")?,
-                        runtime: json_u64(body, "runtime")?,
-                        estimate: json_u64(body, "estimate")?,
-                    })
-                };
-                match parse() {
-                    Some(req) => {
-                        events.push(JournalEvent::Submit(req));
-                        Ok(())
-                    }
-                    None => Err("malformed submit row".into()),
-                }
+                let req = SubmitRequest::from_json(line)
+                    .map_err(|e| format!("malformed submit row: {e}"))?;
+                events.push(JournalEvent::Submit(req));
+                Ok(())
             }
-            Some("grant") => match json_u64(body, "to") {
+            Some("grant") => match line.get("to").and_then(Json::as_u64) {
                 Some(to) => {
                     events.push(JournalEvent::Grant(to));
                     Ok(())

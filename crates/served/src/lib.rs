@@ -19,7 +19,8 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`json`] — hand-rolled JSON (the vendored `serde` is a no-op stub).
+//! * [`json`] — re-exports [`fairsched_obs::json`], the workspace's one
+//!   JSON codec (the vendored `serde` is a no-op stub).
 //! * [`api`] — typed requests, responses, and [`ServeError`].
 //! * [`clock`] — [`VirtualClock`]: manual grants or scaled wall time.
 //! * [`journal`] — [`SessionJournal`]: the checksummed durability log
@@ -46,10 +47,11 @@ pub mod clock;
 pub mod daemon;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod session;
+
+pub use fairsched_obs::json;
 
 pub use api::{
     AdvanceResponse, SealResponse, ServeError, SessionSpec, StatusResponse, SubmitRequest,

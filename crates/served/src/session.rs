@@ -453,6 +453,9 @@ impl Session {
         target: Time,
         metrics: &ServiceMetrics,
     ) -> Result<AdvanceResponse, ServeError> {
+        // Trace lines are rendered only for subscribers; the records
+        // themselves are always kept for explain.
+        let listening = !inner.subscribers.is_empty();
         let Inner { core, stream, .. } = &mut *inner;
         let Some(core) = core.as_mut() else {
             return Err(ServeError::Sealed);
@@ -474,7 +477,9 @@ impl Session {
                         inner.completed.push(record);
                     }
                     Effect::Trace { record } => {
-                        lines.push(record.to_jsonl());
+                        if listening {
+                            lines.push(record.to_jsonl());
+                        }
                         inner.trace.push(record);
                     }
                     Effect::Admitted { .. } => {}
@@ -661,6 +666,7 @@ impl Session {
         let Some(mut core) = inner.core.take() else {
             return Err(ServeError::Sealed);
         };
+        let listening = !inner.subscribers.is_empty();
         let mut lines = Vec::new();
         while let Some(at) = core.next_wakeup() {
             for effect in core.step(SimEvent::AdvanceTo(at), &mut inner.stream)? {
@@ -670,7 +676,9 @@ impl Session {
                     }
                     Effect::Completed { record } => inner.completed.push(record),
                     Effect::Trace { record } => {
-                        lines.push(record.to_jsonl());
+                        if listening {
+                            lines.push(record.to_jsonl());
+                        }
                         inner.trace.push(record);
                     }
                     Effect::Admitted { .. } => {}

@@ -110,6 +110,29 @@ fn typed_rejections_cross_the_wire() {
 }
 
 #[test]
+fn deeply_nested_bodies_get_a_400_and_the_daemon_keeps_serving() {
+    use std::io::{Read, Write};
+    let mut daemon = manual_daemon("easy.nomax", 64);
+    let body = "[".repeat(100_000);
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    write!(
+        stream,
+        "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("nesting deeper than"), "{response}");
+
+    let client = Client::new(daemon.addr());
+    assert_eq!(client.status().unwrap().accepted, 0);
+    client.shutdown().unwrap();
+    daemon.shutdown();
+}
+
+#[test]
 fn unknown_policy_ids_fail_daemon_startup_typed() {
     let err = match Daemon::start(
         "127.0.0.1:0",
