@@ -977,20 +977,8 @@ pub fn execute(cmd: Command) -> Result<String, Box<dyn std::error::Error>> {
             if let Some(path) = &port_file {
                 std::fs::write(path, format!("{}\n", addr.port()))?;
             }
-            // Realtime clocks need a heartbeat: events only fire when the
-            // daemon grants time, so tick until shutdown (or seal).
-            if let ClockMode::Realtime { .. } = clock {
-                let session = std::sync::Arc::clone(daemon.session());
-                std::thread::spawn(move || loop {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    if session.tick().is_err() {
-                        break;
-                    }
-                });
-            }
-            while !daemon.stopped() {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
+            // Serve until `POST /v1/shutdown`.
+            daemon.wait();
             let status = daemon.session().status();
             daemon.shutdown();
             Ok(format!(

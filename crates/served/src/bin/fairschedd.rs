@@ -101,7 +101,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    let clock = cfg.session.clock;
     let mut daemon = match Daemon::start_with(&format!("127.0.0.1:{port}"), cfg) {
         Ok(daemon) => daemon,
         Err(e) => {
@@ -119,35 +118,8 @@ fn main() {
         }
     }
 
-    // Realtime clocks need a heartbeat: events only play out when time is
-    // granted, so tick every live session until shutdown. Sessions
-    // created over the API after this point are picked up on the next
-    // beat because the registry is re-read each cycle.
-    let registry = std::sync::Arc::clone(daemon.registry());
-    if let ClockMode::Realtime { .. } = clock {
-        std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let mut any_live = false;
-            for session in registry.sessions() {
-                if session.tick().is_ok() {
-                    any_live = true;
-                }
-            }
-            if !any_live {
-                // Every session sealed: nothing left to drive.
-                break;
-            }
-        });
-    }
-
-    // Park until shutdown flips the stop flag and unblocks the accept
-    // loop; joining the threads is exactly Daemon::shutdown's job.
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        if daemon.stopped() {
-            break;
-        }
-    }
+    // Serve until `POST /v1/shutdown`.
+    daemon.wait();
     daemon.shutdown();
     println!("fairschedd: stopped");
 }

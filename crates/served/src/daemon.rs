@@ -27,15 +27,18 @@
 //!
 //! ## Threading model
 //!
-//! The accept thread only enqueues connections; [`DaemonConfig::workers`]
-//! pool threads do all serving. A worker popping a connection first
-//! checks readiness without blocking (buffered bytes, else a
-//! non-blocking `peek`): idle keep-alive connections are requeued rather
-//! than parked on, so a thousand mostly-quiet submitters cannot pin the
-//! pool. When the accept queue is full the daemon answers `503` and
-//! closes — backpressure is explicit, never an unbounded thread spawn.
+//! One reactor thread blocks in `poll(2)`, with no timeout, on the
+//! listener, a wake-up socket and every idle keep-alive connection, and
+//! moves a connection that turns readable (or hangs up) to the queue the
+//! [`DaemonConfig::workers`] pool threads wait on. A worker serves every
+//! request already buffered on the connection, then hands it back to the
+//! reactor with one wake-up byte: quiet submitters cannot pin the pool,
+//! and an idle daemon burns no CPU. When open connections (watched plus
+//! queued) reach [`DaemonConfig::queue_capacity`] the daemon answers `503`
+//! and closes — backpressure is explicit, never an unbounded thread spawn.
 //! Trace streams live as long as the session, so they are handed to
-//! detached threads instead of occupying a pool worker.
+//! detached threads instead of occupying a pool worker. Under a realtime
+//! clock one heartbeat thread ticks every session each 20 ms.
 //!
 //! The daemon is deterministic where it matters: all scheduling state
 //! sits behind each session's mutex, so any interleaving of concurrent
@@ -44,6 +47,7 @@
 //! same schedule as the equivalent batch run.
 
 use crate::api::{ServeError, SessionSpec};
+use crate::clock::ClockMode;
 use crate::http::{read_request, write_response, write_stream_header, Request};
 use crate::metrics::{route_label, ServiceMetrics};
 use crate::registry::SessionRegistry;
@@ -52,8 +56,11 @@ use crate::{api, SubmitRequest};
 use fairsched_obs::json::{parse, Json};
 use fairsched_workload::job::JobId;
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
+use std::ffi::{c_int, c_short};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -69,8 +76,8 @@ pub struct DaemonConfig {
     pub session: SessionConfig,
     /// Pool threads serving requests.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before the daemon
-    /// answers `503`.
+    /// Open connections (idle keep-alive plus waiting for a worker)
+    /// before the daemon answers new ones with `503`.
     pub queue_capacity: usize,
     /// Where per-session durability journals live; `None` disables
     /// journaling.
@@ -81,8 +88,8 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Serving defaults around a session configuration: 8 workers, a
-    /// 1024-connection queue, no journaling.
+    /// Serving defaults around a session configuration: 8 workers, at
+    /// most 1024 open connections, no journaling.
     pub fn new(session: SessionConfig) -> DaemonConfig {
         DaemonConfig {
             session,
@@ -100,85 +107,125 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One accepted connection: the write half plus its buffered reader
-/// (same socket, two fds).
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
+/// One accepted connection: a buffered reader whose inner stream is
+/// also the write half.
+type Conn = BufReader<TcpStream>;
 
-/// The bounded hand-off between the accept thread and the worker pool.
+/// The hand-off between the reactor and the worker pool: connections
+/// ready to serve, connections handed back to be watched, and the
+/// wake-up socket pair that interrupts the reactor's `poll`.
 struct ConnQueue {
-    queue: Mutex<VecDeque<Conn>>,
+    state: Mutex<QueueState>,
     available: Condvar,
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
+    stop: AtomicBool,
     capacity: usize,
     busy: AtomicU64,
 }
 
+#[derive(Default)]
+struct QueueState {
+    /// Readable connections waiting for a worker.
+    ready: VecDeque<Conn>,
+    /// Served connections waiting for the reactor to watch them again.
+    idle: Vec<Conn>,
+    /// The reactor has exited: workers stop once `ready` drains, and
+    /// handed-back connections are closed.
+    closed: bool,
+}
+
 impl ConnQueue {
-    fn new(capacity: usize) -> ConnQueue {
-        ConnQueue {
-            queue: Mutex::new(VecDeque::new()),
+    fn new(capacity: usize) -> std::io::Result<ConnQueue> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(ConnQueue {
+            state: Mutex::new(QueueState::default()),
             available: Condvar::new(),
+            wake_rx,
+            wake_tx,
+            stop: AtomicBool::new(false),
             capacity: capacity.max(1),
             busy: AtomicU64::new(0),
-        }
+        })
     }
 
-    /// Enqueues a connection; gives it back when the queue is full (the
-    /// caller answers 503).
-    fn push(&self, conn: Conn) -> Result<(), Conn> {
-        let mut queue = self.lock();
-        if queue.len() >= self.capacity {
-            return Err(conn);
-        }
-        queue.push_back(conn);
+    fn push(&self, conn: Conn) {
+        self.lock().ready.push_back(conn);
         self.available.notify_one();
-        Ok(())
     }
 
-    /// Blocks for the next connection; `None` once `stop` is set and the
-    /// queue has drained (workers finish queued work before exiting).
-    fn pop(&self, stop: &AtomicBool) -> Option<Conn> {
-        let mut queue = self.lock();
+    /// Blocks for the next readable connection; `None` once the reactor
+    /// has exited and the queue has drained (workers finish queued work
+    /// before exiting).
+    fn pop(&self) -> Option<Conn> {
+        let mut state = self.lock();
         loop {
-            if let Some(conn) = queue.pop_front() {
+            if let Some(conn) = state.ready.pop_front() {
                 return Some(conn);
             }
-            if stop.load(Ordering::SeqCst) {
+            if state.closed {
                 return None;
             }
-            let (guard, _) = self
+            state = self
                 .available
-                .wait_timeout(queue, Duration::from_millis(50))
-                .unwrap_or_else(|e| {
-                    let (guard, timeout) = e.into_inner();
-                    (guard, timeout)
-                });
-            queue = guard;
+                .wait(state)
+                .unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Returns a served keep-alive connection to the reactor, or closes
+    /// it once the reactor is gone.
+    fn hand_back(&self, conn: Conn) {
+        let mut state = self.lock();
+        if !state.closed {
+            state.idle.push(conn);
+            self.wake();
+        }
+    }
+
+    /// Flags the daemon down and wakes the reactor so it sees the flag.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        // Non-blocking: when the socket is full a wake-up is already
+        // pending.
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Marks the reactor gone: closes handed-back connections and
+    /// releases idle workers.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.idle.clear();
+        self.available.notify_all();
     }
 
     fn depth(&self) -> u64 {
-        self.lock().len() as u64
+        self.lock().ready.len() as u64
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Conn>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// A running daemon: the session registry plus the accept loop's and
-/// worker pool's lifecycle.
+/// A running daemon: the session registry plus the reactor's, worker
+/// pool's and realtime heartbeat's lifecycle.
 pub struct Daemon {
     registry: Arc<SessionRegistry>,
     default_session: Arc<Session>,
     metrics: Arc<ServiceMetrics>,
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
     queue: Arc<ConnQueue>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
+    /// The worker pool and, under a realtime clock, the heartbeat.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Daemon {
@@ -188,7 +235,8 @@ impl Daemon {
         Daemon::start_with(addr, DaemonConfig::new(cfg))
     }
 
-    /// Binds `addr` and starts the accept loop plus the worker pool.
+    /// Binds `addr` and starts the reactor, the worker pool and, for
+    /// realtime clocks, the heartbeat.
     pub fn start_with(addr: &str, cfg: DaemonConfig) -> Result<Daemon, ServeError> {
         let metrics = Arc::new(ServiceMetrics::new());
         let registry = match (&cfg.journal_dir, cfg.recover) {
@@ -204,63 +252,43 @@ impl Daemon {
         let registry = Arc::new(registry);
         let default_session = registry.default_session();
         let listener = TcpListener::bind(addr)?;
+        // std's 128-connection backlog overflows under a burst of submitters
+        // and the kernel resets the excess: raise it to the kernel maximum.
+        // SAFETY: listen(2) on a bound socket only resizes its backlog.
+        if unsafe { listen(listener.as_raw_fd(), c_int::MAX) } < 0 {
+            return Err(std::io::Error::last_os_error().into());
+        }
+        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue::new(cfg.queue_capacity));
+        let queue = Arc::new(ConnQueue::new(cfg.queue_capacity)?);
 
-        let accept_stop = Arc::clone(&stop);
-        let accept_queue = Arc::clone(&queue);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_thread = std::thread::Builder::new()
-            .name("fairschedd-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let Ok(reader_stream) = stream.try_clone() else {
-                        continue;
-                    };
-                    let conn = Conn {
-                        stream,
-                        reader: BufReader::new(reader_stream),
-                    };
-                    if let Err(mut conn) = accept_queue.push(conn) {
-                        // Explicit backpressure: the queue is full, so
-                        // shed this connection rather than grow without
-                        // bound.
-                        let body = Json::obj([
-                            ("error", Json::Str("overloaded".into())),
-                            ("detail", Json::Str("accept queue full".into())),
-                        ]);
-                        let _ = write_response(
-                            &mut conn.stream,
-                            503,
-                            "application/json",
-                            &body.render(),
-                            true,
-                        );
-                        accept_metrics.observe_request("other", 503, 0);
-                    }
-                    accept_metrics
-                        .accept_queue_depth
-                        .set_u64(accept_queue.depth());
-                }
-            })
-            .map_err(ServeError::from)?;
-
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
+        let reactor = {
+            let (queue, metrics) = (Arc::clone(&queue), Arc::clone(&metrics));
+            spawn("fairschedd-reactor".into(), move || {
+                reactor_loop(&listener, &queue, &metrics)
+            })?
+        };
+        let mut threads = Vec::new();
         for i in 0..cfg.workers.max(1) {
-            let queue = Arc::clone(&queue);
+            let (queue, metrics) = (Arc::clone(&queue), Arc::clone(&metrics));
             let registry = Arc::clone(&registry);
-            let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name(format!("fairschedd-worker-{i}"))
-                .spawn(move || worker_loop(&queue, &registry, &metrics, &stop))
-                .map_err(ServeError::from)?;
-            workers.push(handle);
+            threads.push(spawn(format!("fairschedd-worker-{i}"), move || {
+                worker_loop(&queue, &registry, &metrics)
+            })?);
+        }
+        // Realtime clocks need a heartbeat: events only play out when time
+        // is granted, so tick every session, named ones included, until
+        // shutdown.
+        if let ClockMode::Realtime { .. } = cfg.session.clock {
+            let (queue, registry) = (Arc::clone(&queue), Arc::clone(&registry));
+            threads.push(spawn("fairschedd-heartbeat".into(), move || {
+                while !queue.stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(20));
+                    for session in registry.sessions() {
+                        let _ = session.tick();
+                    }
+                }
+            })?);
         }
 
         Ok(Daemon {
@@ -268,10 +296,9 @@ impl Daemon {
             default_session,
             metrics,
             addr: local,
-            stop,
             queue,
-            accept_thread: Some(accept_thread),
-            workers,
+            reactor: Some(reactor),
+            threads,
         })
     }
 
@@ -295,27 +322,22 @@ impl Daemon {
         &self.metrics
     }
 
-    /// Whether a shutdown request (or [`Daemon::shutdown`]) has flagged
-    /// the accept loop down.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+    /// Blocks until `POST /v1/shutdown` (or [`Daemon::shutdown`]) stops
+    /// the reactor; [`Daemon::shutdown`] then drains the pool.
+    pub fn wait(&mut self) {
+        if let Some(handle) = self.reactor.take() {
+            let _ = handle.join();
+        }
     }
 
     /// Graceful drain: stops accepting, lets the pool finish queued and
-    /// in-flight requests (idle keep-alive connections are dropped), and
+    /// in-flight requests (idle keep-alive connections are closed), and
     /// joins every thread. Does not seal sessions; callers decide
     /// whether to finish the schedules.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        self.queue.available.notify_all();
-        for handle in self.workers.drain(..) {
+        self.queue.stop();
+        self.wait();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -327,98 +349,115 @@ impl Drop for Daemon {
     }
 }
 
-/// What a non-blocking look at a popped connection found.
-enum Readiness {
-    /// Bytes are waiting (or already buffered): safe to serve.
-    Ready,
-    /// No bytes yet; the connection is idle keep-alive.
-    NotReady,
-    /// The peer closed (or the socket errored).
-    Closed,
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(body)
 }
 
-fn readiness(conn: &mut Conn) -> Readiness {
-    if !conn.reader.buffer().is_empty() {
-        return Readiness::Ready;
-    }
-    if conn.stream.set_nonblocking(true).is_err() {
-        return Readiness::Closed;
-    }
-    let mut probe = [0u8; 1];
-    let peeked = conn.stream.peek(&mut probe);
-    if conn.stream.set_nonblocking(false).is_err() {
-        return Readiness::Closed;
-    }
-    match peeked {
-        Ok(0) => Readiness::Closed,
-        Ok(_) => Readiness::Ready,
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Readiness::NotReady,
-        Err(_) => Readiness::Closed,
-    }
+/// `struct pollfd` from `<poll.h>`: `(fd, events, revents)`.
+#[repr(C)]
+struct PollFd(c_int, c_short, c_short);
+
+const POLLIN: c_short = 0x1;
+
+#[cfg(target_os = "linux")]
+type NFds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
-fn worker_loop(
+/// The reactor: blocks in `poll(2)` on the listener, the wake-up socket
+/// and every idle connection, and moves each connection that turns
+/// readable (or hangs up) to the worker queue. Exits once the stop flag
+/// is set, closing the connections it still watches.
+fn reactor_loop(listener: &TcpListener, queue: &ConnQueue, metrics: &ServiceMetrics) {
+    let mut watched: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    while !queue.stop.load(Ordering::SeqCst) {
+        fds.clear();
+        let conns = watched.iter().map(|conn| conn.get_ref().as_raw_fd());
+        let all = [listener.as_raw_fd(), queue.wake_rx.as_raw_fd()].into_iter();
+        fds.extend(all.chain(conns).map(|fd| PollFd(fd, POLLIN, 0)));
+        // SAFETY: `fds` is an exclusively borrowed, initialized array of
+        // `fds.len()` pollfd structs that outlives the call.
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, -1) } < 0 {
+            let err = std::io::Error::last_os_error();
+            if err.kind() == std::io::ErrorKind::Interrupted {
+                continue;
+            }
+            fairsched_obs::log::warn(format!("poll failed: {err}"));
+            break;
+        }
+        // Walk backwards so `swap_remove` only moves visited entries.
+        for i in (0..watched.len()).rev() {
+            if fds[i + 2].2 != 0 {
+                queue.push(watched.swap_remove(i));
+            }
+        }
+        if fds[1].2 != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&queue.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+            watched.append(&mut queue.lock().idle);
+        }
+        if fds[0].2 != 0 {
+            accept_pending(listener, &mut watched, queue, metrics);
+        }
+    }
+    queue.close();
+}
+
+/// Accepts every pending connection and watches it, or answers `503`
+/// when open connections (watched plus queued) already fill the
+/// capacity: backpressure is explicit rather than unbounded growth.
+fn accept_pending(
+    listener: &TcpListener,
+    watched: &mut Vec<Conn>,
     queue: &ConnQueue,
-    registry: &SessionRegistry,
     metrics: &ServiceMetrics,
-    stop: &AtomicBool,
 ) {
-    // Consecutive idle connections seen: when a sweep of the queue finds
-    // only parked keep-alive connections, sleep briefly instead of
-    // spinning the requeue cycle.
-    let mut idle_streak: u64 = 0;
-    while let Some(mut conn) = queue.pop(stop) {
-        metrics.accept_queue_depth.set_u64(queue.depth());
-        match readiness(&mut conn) {
-            Readiness::Closed => {
-                idle_streak = 0;
-            }
-            Readiness::NotReady => {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining: idle connections are dropped, not held
-                    // open.
-                    continue;
-                }
-                idle_streak += 1;
-                let requeued = queue.push(conn).is_ok();
-                if !requeued || idle_streak > 8 {
-                    std::thread::sleep(Duration::from_millis(1));
-                    idle_streak = 0;
-                }
-            }
-            Readiness::Ready => {
-                idle_streak = 0;
-                queue.busy.fetch_add(1, Ordering::SeqCst);
-                metrics
-                    .pool_workers_busy
-                    .set_u64(queue.busy.load(Ordering::SeqCst));
-                let keep = serve_ready(conn, registry, metrics, queue, stop);
-                queue.busy.fetch_sub(1, Ordering::SeqCst);
-                metrics
-                    .pool_workers_busy
-                    .set_u64(queue.busy.load(Ordering::SeqCst));
-                if let Some(conn) = keep {
-                    if queue.push(conn).is_err() {
-                        // Full queue on requeue: the connection is shed;
-                        // the client reconnects.
-                    }
-                }
-            }
+    while let Ok((mut stream, _)) = listener.accept() {
+        if watched.len() + queue.depth() as usize >= queue.capacity {
+            let body = Json::obj([
+                ("error", Json::Str("overloaded".into())),
+                ("detail", Json::Str("connection capacity full".into())),
+            ]);
+            let _ = write_response(&mut stream, 503, "application/json", &body.render(), true);
+            metrics.observe_request("other", 503, 0);
+            continue;
+        }
+        // Some platforms hand out accepted sockets with the listener's
+        // non-blocking flag; workers read blocking.
+        if stream.set_nonblocking(false).is_ok() {
+            watched.push(BufReader::new(stream));
         }
     }
 }
 
-/// Serves requests on a ready connection until it goes idle (returned
-/// for requeueing), closes, errors, or upgrades to a trace stream.
+fn worker_loop(queue: &ConnQueue, registry: &SessionRegistry, metrics: &ServiceMetrics) {
+    while let Some(conn) = queue.pop() {
+        queue.busy.fetch_add(1, Ordering::SeqCst);
+        let idle = serve_ready(conn, registry, metrics, queue);
+        queue.busy.fetch_sub(1, Ordering::SeqCst);
+        if let Some(conn) = idle {
+            queue.hand_back(conn);
+        }
+    }
+}
+
+/// Serves requests on a readable connection until none is buffered
+/// (returned for the reactor to watch), or it closes, errors, or
+/// upgrades to a trace stream.
 fn serve_ready(
     mut conn: Conn,
     registry: &SessionRegistry,
     metrics: &ServiceMetrics,
     queue: &ConnQueue,
-    stop: &AtomicBool,
 ) -> Option<Conn> {
     loop {
-        let req = match read_request(&mut conn.reader) {
+        let req = match read_request(&mut conn) {
             Ok(Some(req)) => req,
             Ok(None) => return None,
             Err(e) => {
@@ -426,7 +465,7 @@ fn serve_ready(
                     detail: e.to_string(),
                 };
                 let _ = write_response(
-                    &mut conn.stream,
+                    conn.get_mut(),
                     err.status(),
                     "application/json",
                     &err.to_json().render(),
@@ -437,65 +476,44 @@ fn serve_ready(
         };
         let started = Instant::now();
         let label = route_label(&req.path);
-
         // Resolve the target session and the session-relative path.
-        let (session, path) = match resolve(&req.path, registry) {
-            Ok(pair) => pair,
-            Err(e) => {
-                let status = e.status();
-                let ok = write_response(
-                    &mut conn.stream,
-                    status,
-                    "application/json",
-                    &e.to_json().render(),
-                    req.close,
-                )
-                .is_ok();
-                metrics.observe_request(label, status, elapsed_ns(started));
-                if !ok || req.close {
-                    return None;
-                }
-                continue;
+        let (status, content_type, body) = match resolve(&req.path, registry) {
+            Ok((session, path)) if req.method == "GET" && path == "/v1/trace" => {
+                // The stream lives as long as the session; it must not
+                // occupy a pool worker. Time only the setup.
+                metrics.observe_request(label, 200, elapsed_ns(started));
+                let _ = spawn("fairschedd-trace".into(), move || {
+                    stream_trace(conn.into_inner(), &session)
+                });
+                return None;
             }
-        };
-
-        if req.method == "GET" && path == "/v1/trace" {
-            // The stream lives as long as the session; it must not
-            // occupy a pool worker. Time only the setup.
-            metrics.observe_request(label, 200, elapsed_ns(started));
-            let _ = std::thread::Builder::new()
-                .name("fairschedd-trace".into())
-                .spawn(move || stream_trace(conn.stream, &session));
-            return None;
-        }
-
-        let (status, content_type, body) = if req.method == "GET" && path == "/metrics" {
-            metrics.accept_queue_depth.set_u64(queue.depth());
-            metrics
-                .pool_workers_busy
-                .set_u64(queue.busy.load(Ordering::SeqCst));
-            (
-                200,
-                "text/plain; version=0.0.4",
-                metrics.render(&registry.default_session()),
-            )
-        } else {
-            match route(&req, &path, &session, registry, stop) {
+            Ok((_, path)) if req.method == "GET" && path == "/metrics" => {
+                // The pool gauges are refreshed only here, where they are
+                // read.
+                metrics.accept_queue_depth.set_u64(queue.depth());
+                metrics
+                    .pool_workers_busy
+                    .set_u64(queue.busy.load(Ordering::SeqCst));
+                let text = metrics.render(&registry.default_session());
+                (200, "text/plain; version=0.0.4", text)
+            }
+            resolved => match resolved
+                .and_then(|(session, path)| route(&req, &path, &session, registry, queue))
+            {
                 Ok(body) => (200, "application/json", body.render()),
                 Err(e) => (e.status(), "application/json", e.to_json().render()),
-            }
+            },
         };
-        let ok = write_response(&mut conn.stream, status, content_type, &body, req.close).is_ok();
+        let ok = write_response(conn.get_mut(), status, content_type, &body, req.close).is_ok();
         metrics.observe_request(label, status, elapsed_ns(started));
         if !ok || req.close {
             return None;
         }
-        // Keep-alive: serve pipelined bytes immediately, requeue an idle
-        // connection so this worker can pick up other work.
-        match readiness(&mut conn) {
-            Readiness::Ready => continue,
-            Readiness::NotReady => return Some(conn),
-            Readiness::Closed => return None,
+        // Keep-alive: bytes already in the buffer are invisible to the
+        // reactor's poll, so serve them here; otherwise the connection
+        // goes back to be watched.
+        if conn.buffer().is_empty() {
+            return Some(conn);
         }
     }
 }
@@ -525,7 +543,7 @@ fn route(
     path: &str,
     session: &Arc<Session>,
     registry: &SessionRegistry,
-    stop: &AtomicBool,
+    queue: &ConnQueue,
 ) -> Result<Json, ServeError> {
     match (req.method.as_str(), path) {
         ("POST", "/v1/jobs") => {
@@ -547,49 +565,31 @@ fn route(
             let rows = registry
                 .list()
                 .into_iter()
-                .map(|(name, status)| {
-                    let mut obj = status.to_json();
-                    if let Json::Obj(map) = &mut obj {
-                        map.insert("name".into(), Json::Str(name));
-                    }
-                    obj
-                })
+                .map(|(name, status)| with_fields(status.to_json(), [("name", Json::Str(name))]))
                 .collect();
             Ok(Json::obj([("sessions", Json::Arr(rows))]))
         }
         ("POST", "/v1/sessions") => {
             let spec = SessionSpec::from_json(&parse(&req.body)?)?;
-            let session = registry.create(&spec)?;
-            let mut obj = session.status().to_json();
-            if let Json::Obj(map) = &mut obj {
-                map.insert("name".into(), Json::Str(spec.name));
-                map.insert("created".into(), Json::Bool(true));
-            }
-            Ok(obj)
+            let status = registry.create(&spec)?.status().to_json();
+            let name = Json::Str(spec.name);
+            Ok(with_fields(
+                status,
+                [("name", name), ("created", Json::Bool(true))],
+            ))
         }
         ("GET", p) if session_name(p).is_some() => {
             let name = session_name(p).expect("guard");
-            let session = registry.get(name)?;
-            let mut obj = session.status().to_json();
-            if let Json::Obj(map) = &mut obj {
-                map.insert("name".into(), Json::Str(name.into()));
-            }
-            Ok(obj)
+            let status = registry.get(name)?.status().to_json();
+            Ok(with_fields(status, [("name", Json::Str(name.into()))]))
         }
         ("DELETE", p) if session_name(p).is_some() => {
             let name = session_name(p).expect("guard");
             registry.delete(name)?;
             Ok(Json::obj([("deleted", Json::Str(name.into()))]))
         }
-        ("GET", p) if p.starts_with("/v1/explain/") => {
-            let id =
-                p["/v1/explain/".len()..]
-                    .parse::<u32>()
-                    .map_err(|_| ServeError::BadRequest {
-                        detail: "explain id must be an integer".into(),
-                    })?;
-            let breakdown = session.explain(JobId(id))?;
-            Ok(match breakdown {
+        ("GET", p) if p.starts_with("/v1/explain/") => Ok(
+            match session.explain(path_id(p, "/v1/explain/", "explain")?)? {
                 None => Json::obj([("found", Json::Bool(false))]),
                 Some(b) => Json::obj([
                     ("found", Json::Bool(true)),
@@ -599,23 +599,12 @@ fn route(
                     ("capacity_wait", Json::UInt(b.capacity_wait)),
                     ("reservation_wait", Json::UInt(b.reservation_wait)),
                 ]),
-            })
-        }
+            },
+        ),
         ("GET", p) if p.starts_with("/v1/jobs/") => {
-            let id = p["/v1/jobs/".len()..]
-                .parse::<u32>()
-                .map_err(|_| ServeError::BadRequest {
-                    detail: "job id must be an integer".into(),
-                })?;
-            Ok(match session.record_of(JobId(id)) {
+            Ok(match session.record_of(path_id(p, "/v1/jobs/", "job")?) {
                 None => Json::obj([("found", Json::Bool(false))]),
-                Some(r) => {
-                    let mut obj = api::record_to_json(&r);
-                    if let Json::Obj(map) = &mut obj {
-                        map.insert("found".into(), Json::Bool(true));
-                    }
-                    obj
-                }
+                Some(r) => with_fields(api::record_to_json(&r), [("found", Json::Bool(true))]),
             })
         }
         ("GET", "/v1/fairness") => {
@@ -624,16 +613,14 @@ fn route(
         }
         ("GET", "/v1/profile") => {
             let report = session.profile();
+            let counters = &report.counters;
             Ok(Json::obj([
                 ("wall_ns", Json::UInt(report.wall_ns)),
-                ("sched_passes", Json::UInt(report.counters.sched_passes)),
-                (
-                    "backfill_attempts",
-                    Json::UInt(report.counters.backfill_attempts),
-                ),
+                ("sched_passes", Json::UInt(counters.sched_passes)),
+                ("backfill_attempts", Json::UInt(counters.backfill_attempts)),
                 (
                     "backfill_successes",
-                    Json::UInt(report.counters.backfill_successes),
+                    Json::UInt(counters.backfill_successes),
                 ),
                 ("steps", Json::UInt(session.steps())),
                 ("text", Json::Str(report.to_string())),
@@ -642,11 +629,11 @@ fn route(
         ("POST", "/v1/seal") => session.seal().map(|r| r.to_json()),
         ("POST", "/v1/shutdown") => {
             // Seal every session so trace subscribers see the close; then
-            // flag the accept loop down. The response goes out first
-            // because the connection already exists.
+            // stop the reactor. The response goes out first because the
+            // connection is already being served.
             let sealed_now = !session.status().sealed;
             registry.seal_all();
-            stop.store(true, Ordering::SeqCst);
+            queue.stop();
             Ok(Json::obj([
                 ("stopping", Json::Bool(true)),
                 ("sealed_now", Json::Bool(sealed_now)),
@@ -659,6 +646,24 @@ fn route(
             detail: "unknown path; the API lives under /v1/".into(),
         }),
     }
+}
+
+/// The job id that follows `prefix` in `path`.
+fn path_id(path: &str, prefix: &str, what: &str) -> Result<JobId, ServeError> {
+    path[prefix.len()..]
+        .parse()
+        .map(JobId)
+        .map_err(|_| ServeError::BadRequest {
+            detail: format!("{what} id must be an integer"),
+        })
+}
+
+/// `obj` with `fields` added.
+fn with_fields<const N: usize>(mut obj: Json, fields: [(&str, Json); N]) -> Json {
+    if let Json::Obj(map) = &mut obj {
+        map.extend(fields.map(|(key, value)| (key.to_string(), value)));
+    }
+    obj
 }
 
 /// The `{name}` of a bare `/v1/sessions/{name}` path (no trailing
@@ -684,11 +689,7 @@ fn stream_trace(mut stream: TcpStream, session: &Session) {
     let severed = loop {
         match sub.recv() {
             Ok(Some(line)) => {
-                if stream
-                    .write_all(line.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"))
-                    .is_err()
-                {
+                if writeln!(stream, "{line}").is_err() {
                     return;
                 }
             }
@@ -702,8 +703,5 @@ fn stream_trace(mut stream: TcpStream, session: &Session) {
         ("dropped", Json::UInt(sub.dropped())),
     ])
     .render();
-    let _ = stream
-        .write_all(close.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"));
-    let _ = stream.flush();
+    let _ = writeln!(stream, "{close}").and_then(|()| stream.flush());
 }

@@ -34,8 +34,8 @@
 //! * [`http`] — minimal blocking HTTP/1.1 with keep-alive (no async
 //!   runtime available).
 //! * [`metrics`] — [`ServiceMetrics`]: the daemon's `/metrics` surface.
-//! * [`daemon`] — [`Daemon`]: the accept queue, worker pool, and route
-//!   table.
+//! * [`daemon`] — [`Daemon`]: the `poll(2)` reactor, worker pool,
+//!   realtime heartbeat, and route table.
 //! * [`client`] — [`Client`]: the blocking typed client (one reused
 //!   connection per clone).
 

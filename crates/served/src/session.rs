@@ -43,11 +43,9 @@ use fairsched_workload::job::JobId;
 use fairsched_workload::time::Time;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{
-    sync_channel, Receiver, RecvError, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
-use std::sync::{Arc, Mutex, TryLockError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a [`Session`] is configured.
 #[derive(Debug, Clone)]
@@ -151,10 +149,10 @@ pub struct Session {
     cfg: SessionConfig,
     sim_cfg: SimConfig,
     inner: Mutex<Inner>,
-    /// Submissions queued for the next batch. Whoever wins the `inner`
+    /// Submissions queued for the next batch. Whoever holds the `inner`
     /// lock drains and processes everyone's queued submissions (flat
-    /// combining), so the mutex and the journal fsync are paid once per
-    /// batch rather than once per request.
+    /// combining), so the journal fsync is paid once per batch rather
+    /// than once per request.
     pending: Mutex<VecDeque<PendingSubmit>>,
     metrics: Arc<ServiceMetrics>,
     started_at: Instant,
@@ -256,41 +254,20 @@ impl Session {
     }
 
     /// Accepts one submission through the batching layer: the request
-    /// joins the pending queue and whichever submitter holds the session
-    /// mutex processes the whole queue — one lock acquisition and one
-    /// journal fsync for the entire batch. Under contention this is the
-    /// path that keeps 1000 concurrent submitters off the lock; without
-    /// contention it degenerates to [`Session::submit`] plus one queue
-    /// push.
+    /// joins the pending queue, then the submitter takes the session
+    /// mutex and processes whatever is still queued — one journal fsync
+    /// for the whole batch. While one submitter combines, the others
+    /// queue up behind the mutex; the combiner answers them before it
+    /// releases it, so a submitter that gets the lock finds its reply
+    /// already sent or its request still pending. Under contention this
+    /// keeps 1000 concurrent submitters to one fsync per batch; without
+    /// contention it is [`Session::submit`] plus one queue push.
     pub fn submit_batched(&self, req: &SubmitRequest) -> Result<SubmitResponse, ServeError> {
         let (tx, rx) = sync_channel(1);
         self.pending_lock().push_back((req.clone(), tx));
-        loop {
-            // The batch we joined may already have been processed by the
-            // current combiner; check before competing for the lock.
-            match rx.try_recv() {
-                Ok(result) => return result,
-                Err(TryRecvError::Disconnected) => {
-                    return Err(ServeError::Io("submission batch dropped".into()))
-                }
-                Err(TryRecvError::Empty) => {}
-            }
-            match self.inner.try_lock() {
-                Ok(mut inner) => self.drain_pending(&mut inner),
-                Err(TryLockError::Poisoned(p)) => self.drain_pending(&mut p.into_inner()),
-                // Someone else is combining; they will (probably) take
-                // our request with them. Wait briefly, then re-check in
-                // case our push raced past their final drain.
-                Err(TryLockError::WouldBlock) => {}
-            }
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(result) => return result,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ServeError::Io("submission batch dropped".into()))
-                }
-            }
-        }
+        self.drain_pending(&mut self.lock());
+        rx.recv()
+            .unwrap_or_else(|_| Err(ServeError::Io("submission batch dropped".into())))
     }
 
     /// Processes every queued submission while holding the session lock

@@ -267,3 +267,146 @@ fn named_session_profiles_count_only_that_session() {
     client.shutdown().unwrap();
     daemon.shutdown();
 }
+
+/// Reads one `Content-Length` response off a raw keep-alive stream.
+fn read_raw_response(reader: &mut std::io::BufReader<std::net::TcpStream>) -> String {
+    use std::io::{BufRead, Read};
+    let mut head = String::new();
+    let mut length = 0usize;
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "eof in headers");
+        if let Some(value) = line.strip_prefix("Content-Length:") {
+            length = value.trim().parse().unwrap();
+        }
+        head.push_str(&line);
+        if line == "\r\n" {
+            break;
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).unwrap();
+    head + &String::from_utf8(body).unwrap()
+}
+
+fn raw_connection(daemon: &Daemon) -> std::io::BufReader<std::net::TcpStream> {
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    std::io::BufReader::new(stream)
+}
+
+#[test]
+fn realtime_daemons_tick_named_sessions() {
+    use fairsched_served::api::SessionSpec;
+    use fairsched_served::daemon::DaemonConfig;
+    use std::time::{Duration, Instant};
+    let mut daemon = Daemon::start_with(
+        "127.0.0.1:0",
+        DaemonConfig::new(SessionConfig {
+            policy: "easy.nomax".into(),
+            nodes: 64,
+            clock: ClockMode::Realtime { speedup: 1000.0 },
+            traced: false,
+            ..SessionConfig::default()
+        }),
+    )
+    .expect("daemon start");
+    let client = Client::new(daemon.addr());
+    client.create_session(&SessionSpec::named("live")).unwrap();
+    let live = client.for_session("live");
+
+    // Half a wall second ahead of the clock, done 0.1 s after it starts.
+    let granted = live.status().unwrap().granted;
+    live.submit(&req(1, 1, granted + 500, 8, 100)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while live.status().unwrap().completed < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the named session never advanced: {:?}",
+            live.status().unwrap()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn parked_keep_alive_clients_do_not_pin_the_pool() {
+    use fairsched_served::daemon::DaemonConfig;
+    use std::time::{Duration, Instant};
+    let workers = 2;
+    let mut cfg = DaemonConfig::new(SessionConfig {
+        clock: ClockMode::Manual,
+        ..SessionConfig::default()
+    });
+    cfg.workers = workers;
+    let mut daemon = Daemon::start_with("127.0.0.1:0", cfg).expect("daemon start");
+    let parked: Vec<Client> = (0..workers + 4)
+        .map(|_| Client::new(daemon.addr()))
+        .collect();
+    for client in &parked {
+        client.status().unwrap();
+    }
+
+    let fresh = Client::new(daemon.addr());
+    let started = Instant::now();
+    fresh.status().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a fresh client waited {:?} behind {} parked connections",
+        started.elapsed(),
+        parked.len()
+    );
+    // The parked connections are still served too.
+    for client in &parked {
+        client.status().unwrap();
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_are_all_answered() {
+    use std::io::Write;
+    let mut daemon = manual_daemon("easy.nomax", 64);
+    let mut conn = raw_connection(&daemon);
+    let request = "GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n";
+    conn.get_mut()
+        .write_all(format!("{request}{request}").as_bytes())
+        .unwrap();
+    for _ in 0..2 {
+        let response = read_raw_response(&mut conn);
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+        assert!(response.contains("\"accepted\""), "{response}");
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_closes_parked_connections_promptly() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    let mut daemon = manual_daemon("easy.nomax", 64);
+    let mut conns: Vec<_> = (0..4).map(|_| raw_connection(&daemon)).collect();
+    for conn in &mut conns {
+        conn.get_mut()
+            .write_all(b"GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let response = read_raw_response(conn);
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    }
+
+    let started = Instant::now();
+    daemon.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?} with parked connections",
+        started.elapsed()
+    );
+    for conn in &mut conns {
+        let mut rest = Vec::new();
+        let read = conn.read_to_end(&mut rest).expect("EOF, not a timeout");
+        assert_eq!(read, 0, "unexpected bytes after shutdown: {rest:?}");
+    }
+}
