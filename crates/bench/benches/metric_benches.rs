@@ -99,6 +99,27 @@ fn kernels(c: &mut Criterion) {
             p
         })
     });
+    // A §5.3 improvement pass over the same stack: each reservation asks
+    // where it could move without its own rectangle, which stays in place.
+    g.bench_function("profile_improve_start", |b| {
+        let mut p = Profile::new(BENCH_NODES);
+        let mut held = Vec::with_capacity(500);
+        let mut t = 0u64;
+        for i in 0..500u64 {
+            let nodes = ((i % 128) + 1) as u32;
+            let start = p
+                .earliest_start(t, nodes, 5000)
+                .expect("request fits the machine");
+            p.add(start, 5000, nodes);
+            held.push((start, nodes));
+            t += 10;
+        }
+        b.iter(|| {
+            held.iter()
+                .map(|&(own, nodes)| black_box(&p).improve_start(0, nodes, 5000, own))
+                .sum::<u64>()
+        })
+    });
     g.finish();
 }
 

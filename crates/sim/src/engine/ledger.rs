@@ -202,11 +202,15 @@ struct Slot {
 ///
 /// The static (§5.3) ledger maintains `planned` — the sum of every live
 /// reservation rectangle — incrementally across scheduling passes: a pass
-/// clones it, overlays running work, outages, and the "floaters" (past-due
-/// reservations clamped to `now`), and improves each job in place. Because
-/// [`Profile`] is a canonical delta encoding (order-independent, zero
-/// deltas dropped), the overlay is byte-identical to the profile the
-/// pre-refactor engine re-seeded from the whole queue at every event.
+/// copies it into the ledger's `scratch` profile, overlays running work,
+/// outages, and the "floaters" (past-due reservations clamped to `now`),
+/// and improves each job in place. Because [`Profile`] is a canonical
+/// delta encoding (order-independent, zero deltas dropped), the overlay is
+/// byte-identical to the profile the pre-refactor engine re-seeded from
+/// the whole queue at every event. Each improvement probes with
+/// [`Profile::improve_start`], which reads the job's own rectangle out of
+/// the overlay without removing it, so the overlay changes only when a
+/// reservation actually moves.
 #[derive(Debug, Clone)]
 pub struct ConservativeLedger {
     dynamic: bool,
@@ -217,6 +221,9 @@ pub struct ConservativeLedger {
     /// Incremental timeline: Σ slot rectangles. Maintained only for the
     /// static ledger (the dynamic rebuild never reads it).
     planned: Profile,
+    /// The pass profile (overlay or §5.4 rebuild), reused across passes so
+    /// a pass allocates no profile of its own.
+    scratch: Profile,
     /// `earliest_start` probes not yet taken by the engine.
     probes: u64,
 }
@@ -235,6 +242,7 @@ impl ConservativeLedger {
             slots: HashMap::new(),
             by_start: BTreeSet::new(),
             planned: Profile::new(0),
+            scratch: Profile::new(0),
             probes: 0,
         }
     }
@@ -302,7 +310,7 @@ impl ConservativeLedger {
         self.slots.clear();
         self.by_start.clear();
         if !self.dynamic {
-            self.planned = Profile::new(self.planned.capacity());
+            self.planned.reset(self.planned.capacity());
         }
     }
 
@@ -320,43 +328,27 @@ impl ConservativeLedger {
             && except.is_none_or(|id| !self.slots.contains_key(&id))
     }
 
-    /// Profile of running work (estimate-based) plus capacity lost to node
-    /// outages: failed nodes step the available capacity down until their
-    /// repair time, so reservations never assume them.
-    fn running_profile(&self, ctx: &EngineCtx<'_>) -> Profile {
-        let mut p = Profile::new(ctx.total_nodes);
-        for r in ctx.running {
-            p.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            p.block_until(ctx.now, o.until, 1);
-        }
-        p
+    /// Resets `scratch` to the profile of running work (estimate-based)
+    /// plus capacity lost to node outages: failed nodes step the available
+    /// capacity down until their repair time, so reservations never assume
+    /// them.
+    fn running_profile(&mut self, ctx: &EngineCtx<'_>) {
+        self.scratch.reset(ctx.total_nodes);
+        overlay_running(&mut self.scratch, ctx);
     }
 
-    /// The pass profile, derived from the incremental timeline: `planned`
-    /// with past-due reservations floated up to `now`, plus running work
-    /// and outages. Equals the re-seeded profile when `slots` covers the
-    /// queue (see [`ConservativeLedger::slots_cover`]).
-    fn effective_profile(&self, ctx: &EngineCtx<'_>) -> Profile {
-        let mut p = self.planned.clone();
-        let floaters: Vec<(Time, JobId)> = self
-            .by_start
-            .range(..(ctx.now, JobId(0)))
-            .copied()
-            .collect();
-        for (t, id) in floaters {
+    /// Sets `scratch` to the pass profile, derived from the incremental
+    /// timeline: `planned` with past-due reservations floated up to `now`,
+    /// plus running work and outages. Equals the re-seeded profile when
+    /// `slots` covers the queue (see [`ConservativeLedger::slots_cover`]).
+    fn effective_profile(&mut self, ctx: &EngineCtx<'_>) {
+        self.scratch.clone_from(&self.planned);
+        for &(t, id) in self.by_start.range(..(ctx.now, JobId(0))) {
             let s = self.slots[&id];
-            p.remove(t, s.estimate, s.nodes);
-            p.add(ctx.now, s.estimate, s.nodes);
+            self.scratch.remove(t, s.estimate, s.nodes);
+            self.scratch.add(ctx.now, s.estimate, s.nodes);
         }
-        for r in ctx.running {
-            p.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            p.block_until(ctx.now, o.until, 1);
-        }
-        p
+        overlay_running(&mut self.scratch, ctx);
     }
 
     fn slot_start(&self, id: JobId) -> Option<Time> {
@@ -371,14 +363,15 @@ impl ConservativeLedger {
             .trace
             .map(|_| self.slots.iter().map(|(id, s)| (*id, s.start)).collect());
         self.clear_slots();
-        let mut profile = self.running_profile(ctx);
+        self.running_profile(ctx);
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
             self.probes += 1;
-            let start = profile
+            let start = self
+                .scratch
                 .earliest_start(ctx.now, job.nodes, job.estimate)
                 .unwrap_or(FAR_FUTURE);
-            profile.add(start, job.estimate, job.nodes);
+            self.scratch.add(start, job.estimate, job.nodes);
             if let (Some(t), Some(old)) = (ctx.trace, old.as_ref()) {
                 match old.get(&job.id).copied() {
                     // The on_arrival placeholder (or a fresh job) gets its
@@ -410,29 +403,29 @@ impl ConservativeLedger {
     /// within the current profile; it never relinquishes a reservation for a
     /// worse one.
     fn improve(&mut self, ctx: &EngineCtx<'_>) {
-        let mut profile = if self.slots_cover(ctx.queue, None) {
-            self.effective_profile(ctx)
+        if self.slots_cover(ctx.queue, None) {
+            self.effective_profile(ctx);
         } else {
             // Hand-driven fallback: some queued job never saw `on_arrival`.
             // Re-seed from the queue, treating missing slots as reserved at
             // the far future, exactly like the pre-refactor engine.
-            let mut p = self.running_profile(ctx);
+            self.running_profile(ctx);
             for job in ctx.queue {
                 let start = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
-                p.add(start, job.estimate, job.nodes);
+                self.scratch.add(start, job.estimate, job.nodes);
             }
-            p
-        };
+        }
         for &i in &ctx.priority() {
             let job = &ctx.queue[i];
             let old = self.slot_start(job.id).unwrap_or(FAR_FUTURE).max(ctx.now);
-            profile.remove(old, job.estimate, job.nodes);
             self.probes += 1;
-            let chosen = match profile.earliest_start(ctx.now, job.nodes, job.estimate) {
-                Some(fresh) => fresh.min(old),
-                None => old,
-            };
-            profile.add(chosen, job.estimate, job.nodes);
+            let chosen = self
+                .scratch
+                .improve_start(ctx.now, job.nodes, job.estimate, old);
+            if chosen != old {
+                self.scratch.remove(old, job.estimate, job.nodes);
+                self.scratch.add(chosen, job.estimate, job.nodes);
+            }
             if let Some(t) = ctx.trace {
                 if old >= FAR_FUTURE && chosen < FAR_FUTURE {
                     t.emit(TraceRecord::ReservationMade {
@@ -458,6 +451,17 @@ impl ConservativeLedger {
     }
 }
 
+/// Adds running work (until each job's estimated end) and node outages to
+/// a pass profile.
+fn overlay_running(profile: &mut Profile, ctx: &EngineCtx<'_>) {
+    for r in ctx.running {
+        profile.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
+    }
+    for o in ctx.outages {
+        profile.block_until(ctx.now, o.until, 1);
+    }
+}
+
 impl ReservationLedger for ConservativeLedger {
     fn on_arrival(&mut self, job: &QueuedJob, ctx: &EngineCtx<'_>) {
         if self.dynamic {
@@ -468,14 +472,14 @@ impl ReservationLedger for ConservativeLedger {
         self.ensure_capacity(ctx.total_nodes);
         // Earliest hole in the profile of running work plus every existing
         // reservation (the arriving job is already in ctx.queue; skip it).
-        let profile = if self.slots_cover(ctx.queue, Some(job.id)) {
-            self.effective_profile(ctx)
+        if self.slots_cover(ctx.queue, Some(job.id)) {
+            self.effective_profile(ctx);
         } else {
             // Hand-driven fallback: skip the arriving job and any sibling
             // that has not been reserved yet (simultaneous arrivals are
             // delivered one at a time; the unreserved sibling's own
             // on_arrival follows).
-            let mut p = self.running_profile(ctx);
+            self.running_profile(ctx);
             for q in ctx.queue {
                 let Some(start) = self.slot_start(q.id) else {
                     continue;
@@ -483,12 +487,12 @@ impl ReservationLedger for ConservativeLedger {
                 if q.id == job.id {
                     continue;
                 }
-                p.add(start.max(ctx.now), q.estimate, q.nodes);
+                self.scratch.add(start.max(ctx.now), q.estimate, q.nodes);
             }
-            p
-        };
+        }
         self.probes += 1;
-        let start = profile
+        let start = self
+            .scratch
             .earliest_start(ctx.now, job.nodes, job.estimate)
             .unwrap_or(FAR_FUTURE);
         if let Some(t) = ctx.trace {
@@ -577,14 +581,8 @@ impl DepthLedger {
 
 impl ReservationLedger for DepthLedger {
     fn begin_pass(&mut self, ctx: &EngineCtx<'_>, _blocked_promoted: Option<usize>) {
-        let mut profile = Profile::new(ctx.total_nodes);
-        for r in ctx.running {
-            profile.add(ctx.now, r.estimated_end(ctx.now) - ctx.now, r.nodes);
-        }
-        for o in ctx.outages {
-            profile.block_until(ctx.now, o.until, 1);
-        }
-        self.profile = profile;
+        self.profile.reset(ctx.total_nodes);
+        overlay_running(&mut self.profile, ctx);
     }
 
     fn admit(&mut self, ctx: &EngineCtx<'_>, rank: usize, i: usize, free: u32) -> Admission {

@@ -2,8 +2,19 @@
 //!
 //! Conservative backfilling reasons about a step function `used(t)` built
 //! from running jobs (until their estimated ends) plus reservations. The
-//! profile supports adding usage rectangles and the `earliest_fit` query
-//! ("when can a `k`-node, `d`-second job first run?").
+//! profile supports adding usage rectangles and two fit queries:
+//! [`Profile::earliest_start`] ("when can a `k`-node, `d`-second job first
+//! run?") and [`Profile::improve_start`] (the same question for a job that
+//! already holds a rectangle in the profile, answered only as far as the
+//! job's own reservation).
+//!
+//! Both queries share one linear scan of the sorted breakpoint vector from
+//! `from`: O(breakpoints) in the worst case. `improve_start` stops at the
+//! first breakpoint past which no start earlier than the job's own
+//! reservation is possible, so a job that cannot move (the common case in
+//! a §5.3 improvement pass) stops near its reservation instead of scanning
+//! on to its first fit. Adding or removing a rectangle is a binary search
+//! plus a vector insert or delete, O(breakpoints) moves.
 //!
 //! Usage is allowed to exceed the machine size transiently: the
 //! non-dynamic conservative engine keeps a job's old reservation when no
@@ -49,6 +60,13 @@ impl Profile {
     /// Machine capacity.
     pub fn capacity(&self) -> u32 {
         self.capacity
+    }
+
+    /// Empties the profile for a `capacity`-node machine, keeping the
+    /// breakpoint vector's allocation for reuse.
+    pub fn reset(&mut self, capacity: u32) {
+        self.capacity = capacity;
+        self.deltas.clear();
     }
 
     /// Adds a usage rectangle: `nodes` nodes over `[start, start + duration)`.
@@ -106,13 +124,51 @@ impl Profile {
     /// than the machine (which can never fit, at any time). Scans the
     /// breakpoints once; O(breakpoints).
     pub fn earliest_start(&self, from: Time, nodes: u32, duration: Time) -> Option<Time> {
+        (nodes <= self.capacity).then(|| self.scan(from, nodes, duration, None))
+    }
+
+    /// Where a job that already holds `nodes` nodes over `[own, own +
+    /// duration)` in this profile may move: `min(earliest_start(from,
+    /// nodes, duration), own)` evaluated on the profile *without* that
+    /// rectangle, which is left in place. A job wider than the machine
+    /// stays at `own`.
+    ///
+    /// The scan ends as soon as no start before `own` is possible: at the
+    /// first breakpoint at or past `own` with no candidate open, or once an
+    /// open candidate `c < own` has run `duration` seconds. The latter
+    /// happens before `own + duration`, so of the rectangle's two edges
+    /// only the start is ever reached; it is subtracted as a virtual
+    /// breakpoint merged into the scan. It may have no stored breakpoint of
+    /// its own, because its delta cancelled another rectangle's edge at the
+    /// same instant.
+    ///
+    /// ```
+    /// use fairsched_sim::profile::Profile;
+    ///
+    /// let mut p = Profile::new(10);
+    /// p.add(0, 100, 8); // another job, [0, 100)
+    /// p.add(300, 50, 6); // this job's reservation, [300, 350)
+    /// // Without its own rectangle the job fits right after the first one.
+    /// assert_eq!(p.improve_start(0, 6, 50, 300), 100);
+    /// // A job pinned behind its reservation keeps it.
+    /// p.add(100, 200, 8);
+    /// assert_eq!(p.improve_start(0, 6, 50, 300), 300);
+    /// ```
+    pub fn improve_start(&self, from: Time, nodes: u32, duration: Time, own: Time) -> Time {
+        // Every fit starts at or after `from`, so an `own` there is final.
+        if nodes > self.capacity || own <= from {
+            return own;
+        }
+        self.scan(from, nodes, duration, Some(own))
+    }
+
+    /// The fit scan behind both queries, for a job no wider than the
+    /// machine; `own`, when given, lies after `from`.
+    fn scan(&self, from: Time, nodes: u32, duration: Time, own: Option<Time>) -> Time {
         debug_assert!(duration > 0);
         let budget = self.capacity as i64 - nodes as i64;
-        if budget < 0 {
-            return None;
-        }
+        let bound = own.unwrap_or(Time::MAX);
 
-        let mut candidate = from;
         let mut used: i64 = 0;
         let mut i = 0;
         // Skip breakpoints at or before `from`, accumulating the level.
@@ -120,38 +176,45 @@ impl Profile {
             used += self.deltas[i].1;
             i += 1;
         }
-        if used > budget {
-            // Overfull at `from`: candidate must move to a later breakpoint.
-            candidate = Time::MAX; // provisional; fixed when a segment fits
-        }
-        while i < self.deltas.len() {
-            let (t, delta) = self.deltas[i];
-            if candidate != Time::MAX && t >= candidate.saturating_add(duration) {
-                return Some(candidate);
+        // An open candidate always lies before `bound`.
+        let mut candidate = (used <= budget).then_some(from);
+        let mut own_pending = own.is_some();
+        let mut last = from;
+        loop {
+            // The next instant of the stored breakpoints merged with the
+            // virtual own edge; both deltas apply when they coincide.
+            let stored = self.deltas.get(i).map(|&(t, _)| t);
+            let t = match (stored, own_pending) {
+                (Some(s), true) => s.min(bound),
+                (Some(s), false) => s,
+                (None, true) => bound,
+                (None, false) => break,
+            };
+            match candidate {
+                Some(c) if t >= c.saturating_add(duration) => return c,
+                // Any later candidate starts at or after `t`.
+                None if t >= bound => return bound,
+                _ => {}
             }
-            used += delta;
+            if stored == Some(t) {
+                used += self.deltas[i].1;
+                i += 1;
+            }
+            if own_pending && t == bound {
+                used -= nodes as i64;
+                own_pending = false;
+            }
             if used > budget {
-                candidate = Time::MAX;
-            } else if candidate == Time::MAX {
-                candidate = t;
+                candidate = None;
+            } else if candidate.is_none() {
+                candidate = Some(t);
             }
-            i += 1;
+            last = t;
         }
         // Past the last breakpoint usage stays at its final level, which is
-        // 0 for well-formed profiles; `candidate` is feasible from here on.
-        if candidate == Time::MAX {
-            // Overfull through the last breakpoint — cannot happen when all
-            // rectangles are finite, but be safe.
-            Some(
-                self.deltas
-                    .last()
-                    .map(|&(t, _)| t)
-                    .unwrap_or(from)
-                    .max(from),
-            )
-        } else {
-            Some(candidate.max(from))
-        }
+        // 0 for well-formed profiles, so a candidate is open; an overfull
+        // tail could only start at the last breakpoint.
+        candidate.unwrap_or(last).min(bound)
     }
 }
 

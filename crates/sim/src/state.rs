@@ -60,27 +60,30 @@ impl RunningJob {
 /// * [`QueueOrder::Fcfs`] — by (arrival, id).
 /// * [`QueueOrder::Fairshare`] — ascending decayed usage of the submitting
 ///   user, ties by (arrival, id). Deterministic for equal usage.
+///
+/// Each job's key is read once (one usage lookup per job, not two per
+/// comparison); FCFS keys every job at usage 0, which leaves (arrival, id).
 pub fn priority_order(
     queue: &[QueuedJob],
     order: QueueOrder,
     fairshare: &FairshareTracker,
 ) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..queue.len()).collect();
-    match order {
-        QueueOrder::Fcfs => {
-            idx.sort_by_key(|&i| (queue[i].arrival, queue[i].id));
-        }
-        QueueOrder::Fairshare => {
-            idx.sort_by(|&a, &b| {
-                let ua = fairshare.usage(queue[a].user);
-                let ub = fairshare.usage(queue[b].user);
-                ua.total_cmp(&ub).then_with(|| {
-                    (queue[a].arrival, queue[a].id).cmp(&(queue[b].arrival, queue[b].id))
-                })
-            });
-        }
-    }
-    idx
+    let mut keyed: Vec<(f64, Time, JobId, usize)> = queue
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let usage = match order {
+                QueueOrder::Fcfs => 0.0,
+                QueueOrder::Fairshare => fairshare.usage(q.user),
+            };
+            (usage, q.arrival, q.id, i)
+        })
+        .collect();
+    keyed.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    keyed.into_iter().map(|(.., i)| i).collect()
 }
 
 /// Everything an observer sees at a job arrival: the instant snapshot the

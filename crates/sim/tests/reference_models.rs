@@ -1,10 +1,13 @@
 //! Property tests pinning the scheduling data structures against brute-force
-//! reference models: the capacity [`Profile`] against a per-second scan, and
-//! the compressed [`NodeTimeline`] against a literal per-node free-time
-//! array.
+//! reference models: the capacity [`Profile`] against a per-second scan, the
+//! compressed [`NodeTimeline`] against a literal per-node free-time array,
+//! and the keyed [`priority_order`] against a comparator sort.
 
+use fairsched_sim::config::{FairshareConfig, QueueOrder};
 use fairsched_sim::profile::Profile;
-use fairsched_sim::NodeTimeline;
+use fairsched_sim::state::priority_order;
+use fairsched_sim::{FairshareTracker, NodeTimeline, QueuedJob};
+use fairsched_workload::job::{JobId, UserId};
 use proptest::prelude::*;
 
 const CAPACITY: u32 = 16;
@@ -30,6 +33,22 @@ fn brute_earliest(rects: &[(u64, u64, u32)], from: u64, nodes: u32, duration: u6
         }
         return start;
     }
+}
+
+/// The priority sort as a comparator over queue indices, reading each
+/// user's usage at every comparison.
+fn comparator_order(queue: &[QueuedJob], order: QueueOrder, fs: &FairshareTracker) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..queue.len()).collect();
+    match order {
+        QueueOrder::Fcfs => idx.sort_by_key(|&i| (queue[i].arrival, queue[i].id)),
+        QueueOrder::Fairshare => idx.sort_by(|&a, &b| {
+            let ua = fs.usage(queue[a].user);
+            let ub = fs.usage(queue[b].user);
+            ua.total_cmp(&ub)
+                .then_with(|| (queue[a].arrival, queue[a].id).cmp(&(queue[b].arrival, queue[b].id)))
+        }),
+    }
+    idx
 }
 
 /// Brute-force list scheduler: a literal array of per-node free times.
@@ -163,5 +182,94 @@ proptest! {
         let mut clone = tl.clone();
         let actual = clone.place(0, probe, 1);
         prop_assert_eq!(predicted, actual);
+    }
+}
+
+proptest! {
+    // The bounded probe's edge cases (cancelled breakpoints, own == from,
+    // oversubscription) are sparse among random profiles: sample more.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `improve_start` equals its definition: take the job's own rectangle
+    /// out, find the earliest fit by per-second scan, keep the earlier of
+    /// that and `own`. Rectangles may oversubscribe the machine, and the
+    /// own rectangle is steered onto `from` and onto other rectangles'
+    /// edges, where equal widths cancel the stored breakpoint.
+    #[test]
+    fn profile_improve_start_matches_brute_force(
+        rects in prop::collection::vec(
+            (0u64..HORIZON, 1u64..60, 1u32..=CAPACITY), 1..12),
+        from in 0u64..HORIZON / 2,
+        nodes in 1u32..=CAPACITY + 2,
+        duration in 1u64..80,
+        placement in 0u8..5,
+        own_offset in 0u64..HORIZON,
+        pick in 0usize..12,
+    ) {
+        let (s, d, n) = rects[pick % rects.len()];
+        let (own, nodes) = match placement {
+            0 => (from + own_offset, nodes),
+            1 => (from, nodes),
+            // Own start on the picked rectangle's end: +n and -n cancel.
+            2 => (s + d, n),
+            // Own end on the picked rectangle's start: -n and +n cancel.
+            3 => (s.checked_sub(duration).unwrap_or(from + own_offset), n),
+            // One second after the picked rectangle's end, which may open
+            // a fit just before `own`.
+            _ => (s + d + 1, nodes),
+        };
+        // A reservation never lies before the pass's `from`.
+        let from = from.min(own);
+        let mut profile = Profile::new(CAPACITY);
+        for &(s, d, n) in &rects {
+            profile.add(s, d, n);
+        }
+        profile.add(own, duration, nodes);
+
+        let got = profile.improve_start(from, nodes, duration, own);
+        let want = if nodes > CAPACITY {
+            own
+        } else {
+            brute_earliest(&rects, from, nodes, duration).min(own)
+        };
+        prop_assert_eq!(got, want, "rects {:?} own {} nodes {}", rects, own, nodes);
+
+        // The mutating remove → earliest_start path agrees too.
+        let mut removed = profile.clone();
+        removed.remove(own, duration, nodes);
+        let fresh = removed.earliest_start(from, nodes, duration);
+        prop_assert_eq!(got, fresh.map_or(own, |f| f.min(own)));
+    }
+
+    /// The keyed sort reproduces the comparator sort for both queue
+    /// orders: tied usage, tied arrivals, repeated ids and users the
+    /// tracker has never charged (usage 0) included.
+    #[test]
+    fn keyed_priority_order_matches_comparator_sort(
+        jobs in prop::collection::vec((0u64..4, 1u32..=8, 0u32..16), 0..40),
+        charges in prop::collection::vec(prop::sample::select(vec![0.0, 50.0, 50.0, 4e6]), 4),
+    ) {
+        let mut fs = FairshareTracker::new(FairshareConfig::default());
+        // Users 1–4 are charged (some equally); users 5–8 are never seen.
+        for (u, &c) in charges.iter().enumerate() {
+            fs.charge(UserId(u as u32 + 1), c);
+        }
+        let queue: Vec<QueuedJob> = jobs
+            .iter()
+            .map(|&(arrival, user, id)| QueuedJob {
+                id: JobId(id),
+                user: UserId(user),
+                nodes: 1,
+                estimate: 1,
+                arrival,
+            })
+            .collect();
+        for order in [QueueOrder::Fcfs, QueueOrder::Fairshare] {
+            prop_assert_eq!(
+                priority_order(&queue, order, &fs),
+                comparator_order(&queue, order, &fs),
+                "{:?}", order
+            );
+        }
     }
 }

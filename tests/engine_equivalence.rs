@@ -16,12 +16,14 @@
 //! ```
 
 use fairsched_core::policy::PolicySpec;
+use fairsched_obs::{DecisionTracer, TraceRecord};
 use fairsched_sim::{
     simulate, EngineKind, FaultConfig, KillPolicy, NullObserver, QueueOrder, ResiliencePolicy,
     Schedule, SimConfig, SimOptions,
 };
 use fairsched_workload::job::Job;
 use fairsched_workload::synthetic::random_trace;
+use fairsched_workload::CplantModel;
 
 /// Machine size all scenarios run on.
 const NODES: u32 = 32;
@@ -242,6 +244,54 @@ const GOLDENS: &[(&str, u64)] = &[
     ("faults/hfsp.72max.resume", 0x5608530cf8dd1df4),
 ];
 
+/// Machine size of the deep-queue scenarios: a quarter of the default
+/// CPlant machine, so the calibrated processor-hours queue a hundred jobs
+/// deep and conservative reservations move thousands of times.
+const DEEP_NODES: u32 = 256;
+
+/// The deep-queue trace: a 3 % slice of the reference CPlant month (397
+/// jobs) squeezed onto [`DEEP_NODES`] nodes, so the queue stays over a
+/// hundred jobs deep while the §5.3 improvement and §5.4 rebuild passes
+/// move reservations.
+fn deep_queue_trace() -> Vec<Job> {
+    CplantModel::new(42)
+        .with_scale(0.03)
+        .with_nodes(DEEP_NODES)
+        .generate()
+}
+
+/// `(policy id, FNV-1a digest of the Schedule, reservations shifted)` on
+/// [`deep_queue_trace`], recorded before the conservative hot-path
+/// rewrite (keyed fairshare sort, bounded improve probe).
+const DEEP_GOLDENS: &[(&str, u64, usize)] = &[
+    ("cons.nomax", 0x2f7022a282896078, 2480),
+    ("consdyn.nomax", 0x058da83aa57286ea, 5830),
+    ("easy.nomax", 0x48b5d68394e7d186, 0),
+];
+
+/// Runs one deep-queue policy: its schedule digest, the reservations its
+/// decision trace shifted, and the deepest queue it saw.
+fn run_deep(trace: &[Job], id: &str) -> (u64, usize, usize) {
+    let cfg = PolicySpec::by_id(id).unwrap().sim_config(DEEP_NODES);
+    let mut tracer = DecisionTracer::unbounded();
+    let schedule = simulate(
+        trace,
+        &cfg,
+        &mut NullObserver,
+        SimOptions::new().trace(&mut tracer),
+    )
+    .expect("deep-queue scenario simulates cleanly");
+    let shifted = tracer
+        .records()
+        .filter(|r| matches!(r, TraceRecord::ReservationShifted { .. }))
+        .count();
+    (
+        digest_schedule(&schedule),
+        shifted,
+        schedule.queue_stats.max_queued_jobs,
+    )
+}
+
 fn run(trace: &[Job], cfg: &SimConfig) -> Schedule {
     simulate(trace, cfg, &mut NullObserver, SimOptions::new()).expect("scenario simulates cleanly")
 }
@@ -253,6 +303,29 @@ fn print_goldens() {
     for (label, trace, cfg) in scenarios() {
         let digest = digest_schedule(&run(&trace, &cfg));
         println!("    (\"{label}\", 0x{digest:016x}),");
+    }
+    let trace = deep_queue_trace();
+    for &(id, _, _) in DEEP_GOLDENS {
+        let (digest, shifted, _) = run_deep(&trace, id);
+        println!("    (\"{id}\", 0x{digest:016x}, {shifted}),");
+    }
+}
+
+/// The deep-queue goldens: same schedules, and the same number of
+/// reservation moves, on a queue deep enough that the conservative
+/// ledger's improve and rebuild paths do real work.
+#[test]
+fn deep_queue_schedules_match_goldens() {
+    let trace = deep_queue_trace();
+    for &(id, golden, golden_shifted) in DEEP_GOLDENS {
+        let (digest, shifted, max_queued) = run_deep(&trace, id);
+        assert!(max_queued >= 100, "{id}: queue only {max_queued} deep");
+        assert_eq!(
+            (digest, shifted),
+            (golden, golden_shifted),
+            "{id}: deep-queue schedule digest 0x{digest:016x} with {shifted} shifted \
+             reservations, golden 0x{golden:016x} with {golden_shifted}"
+        );
     }
 }
 
